@@ -47,7 +47,6 @@ from .grammar import (
     Rule,
     Subset,
     Var,
-    constrained_features,
 )
 
 Vector = tuple[str, ...]
@@ -136,21 +135,26 @@ class _Index:
         self.value_index = {
             name: {v: i for i, v in enumerate(values)} for name, values in self.domains.items()
         }
-        symbols = {c.symbol for r in grammar.rules for c in r.categories()}
-        symbols.update(e.category.symbol for e in grammar.lexicon)
-        self.symbols = symbols
-        self.naming_dims = {
-            sym: constrained_features(grammar, sym, include_lexicon=False) for sym in symbols
-        }
+        # Naming dimensions as constrained_features(include_lexicon=False)
+        # defines them, gathered in one pass over the rules.
+        constrained: dict[str, set[str]] = {}
         self.rules_by_mother: dict[str, list[Rule]] = {}
         for rule in grammar.rules:
             self.rules_by_mother.setdefault(rule.mother.symbol, []).append(rule)
+            for cat in rule.categories():
+                constrained.setdefault(cat.symbol, set()).update(f for f, _ in cat.constraints)
         self.lex_by_symbol: dict[str, list[LexEntry]] = {}
         for entry in grammar.lexicon:
             self.lex_by_symbol.setdefault(entry.category.symbol, []).append(entry)
-
-    def dim_pos(self, symbol: str) -> dict[str, int]:
-        return {f: i for i, f in enumerate(self.naming_dims[symbol])}
+            constrained.setdefault(entry.category.symbol, set())
+        self.symbols = set(constrained)
+        self.naming_dims = {
+            sym: tuple(sorted(features, key=self.decl_index.__getitem__))
+            for sym, features in constrained.items()
+        }
+        self.positions = {
+            sym: {f: i for i, f in enumerate(dims)} for sym, dims in self.naming_dims.items()
+        }
 
     def rule_dims(self, rule: Rule) -> tuple[DimSpec, ...]:
         var_slots: dict[str, list[SlotRef]] = {}
@@ -172,8 +176,20 @@ class _Index:
             sorted(dims, key=lambda d: min((self.decl_index[s.feature], s.occ) for s in d.slots))
         )
 
-    def dim_domain(self, dim: DimSpec) -> tuple[str, ...]:
-        return self.domains[dim.slots[0].feature]
+    def slot_positions(self, rule: Rule, dims: Sequence[DimSpec]) -> list[tuple[tuple[int, ...], ...]]:
+        """Per occurrence, mother first: the naming positions a rule tuple
+        fixes there, in order, and the index of the dimension fixing each."""
+        categories = list(rule.categories())
+        pairs: list[list[tuple[int, int]]] = [[] for _ in categories]
+        for d_idx, dim in enumerate(dims):
+            for slot in dim.slots:
+                positions = self.positions[categories[slot.occ].symbol]
+                pairs[slot.occ].append((positions[slot.feature], d_idx))
+        out = []
+        for occ_pairs in pairs:
+            occ_pairs.sort()
+            out.append((tuple(p for p, _ in occ_pairs), tuple(d for _, d in occ_pairs)))
+        return out
 
 
 def _lex_vectors(index: _Index, category: Category) -> Iterable[Vector]:
@@ -201,7 +217,7 @@ def _daughter_bindings(
     index: _Index, cat: Category, supported: Mapping[str, set[Vector]], bindings: dict
 ) -> Iterable[dict]:
     """Extend variable bindings over each supported vector matching ``cat``."""
-    positions = index.dim_pos(cat.symbol)
+    positions = index.positions[cat.symbol]
     for vec in supported.get(cat.symbol, ()):
         new = bindings
         ok = True
@@ -254,55 +270,18 @@ def _mother_vectors(index: _Index, rule: Rule, bindings: Mapping[str, str]) -> I
         yield from product(*choices)
 
 
-def _slot_values(occ: int, dims: tuple[DimSpec, ...], values: Sequence) -> dict[str, object]:
-    """Map each constrained feature of one occurrence to its dim's value(s)."""
-    out: dict[str, object] = {}
-    for dim, value in zip(dims, values):
-        for slot in dim.slots:
-            if slot.occ == occ:
-                out[slot.feature] = value
-    return out
-
-
-def _rect_has_support(
-    index: _Index,
-    symbol: str,
-    fixed: Mapping[str, object],
-    supported: Mapping[str, set[Vector]],
-    atomic: bool,
-) -> bool:
-    """Does any supported vector of ``symbol`` fall inside the rectangle?
-
-    ``fixed`` maps feature name to a single value (``atomic=True``) or to a
-    collection of values; unmentioned dimensions are unrestricted.
-    """
-    positions = index.dim_pos(symbol)
-    for vec in supported.get(symbol, ()):
-        ok = True
-        for feature, want in fixed.items():
-            have = vec[positions[feature]]
-            if atomic:
-                if have != want:
-                    ok = False
-                    break
-            elif have not in want:  # type: ignore[operator]
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instantiations:
-    """Supported-and-demanded atomic tuples per rule, to a fixpoint.
+    """Supported-and-demanded atomic tuples per rule.
 
     Support is a bottom-up fixpoint over atomic naming-dimension vectors
-    seeded from the lexicon; demand walks top-down from every supported
-    start vector. A tuple is retained iff it is supported and its mother
-    side meets a demanded vector; retention then demands every supported
-    vector inside each daughter rectangle. One support pass and one demand
-    pass land on the alternated fixpoint (the retained set is closed under
-    both filters), but the loops below still run to quiescence.
+    seeded from the lexicon. Rules are visited in order, and a vector added
+    late in a pass can feed a rule visited earlier, so passes repeat until
+    one adds nothing: four passes on each shuttle grammar, the last adding
+    nothing. A rule's candidate tuple is supported iff its projection onto
+    every daughter matches a supported vector. Demand is then one worklist
+    closure from every supported start vector: a candidate is retained iff
+    its mother side equals a demanded vector, and retaining it demands
+    every supported vector matching its projection onto a daughter.
     """
     index = _Index(grammar)
     budget = cap_tuples
@@ -349,12 +328,30 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
             f"start symbol {grammar.start!r} has no supported instantiations"
         )
 
-    # Enumerate each rule's supported tuples over its dimensions.
+    # Supported vectors keyed by their values at some naming positions,
+    # built once per (symbol, positions).
+    projected: dict[tuple[str, tuple[int, ...]], dict[Vector, list[Vector]]] = {}
+
+    def by_projection(symbol: str, positions: tuple[int, ...]) -> dict[Vector, list[Vector]]:
+        table = projected.get((symbol, positions))
+        if table is None:
+            table = projected[(symbol, positions)] = {}
+            for vec in supported[symbol]:
+                table.setdefault(tuple(vec[p] for p in positions), []).append(vec)
+        return table
+
+    # Enumerate each rule's candidate tuples over its dimensions, keep those
+    # every daughter supports, and group them by their mother-side values.
     rule_dims: dict[str, tuple[DimSpec, ...]] = {}
-    candidates: dict[str, list[Vector]] = {}
+    plans: dict[str, tuple] = {}
     for rule in grammar.rules:
         dims = index.rule_dims(rule)
         rule_dims[rule.id] = dims
+        (mother_positions, mother_dims), *occurrences = index.slot_positions(rule, dims)
+        daughters = [
+            (cat.symbol, picks, by_projection(cat.symbol, positions))
+            for cat, (positions, picks) in zip(rule.daughters, occurrences)
+        ]
         choices = []
         for dim in dims:
             lone = dim.slots[0]
@@ -368,59 +365,37 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
             elif isinstance(constraint, Subset):
                 choices.append(constraint.values)
             else:
-                choices.append(index.dim_domain(dim))
-        kept = []
+                choices.append(index.domains[lone.feature])
+        groups: dict[Vector, list[Vector]] = {}
         for values in product(*choices):
             spend()
-            ok = True
-            for occ in range(1, len(rule.daughters) + 1):
-                fixed = _slot_values(occ, dims, values)
-                if not _rect_has_support(
-                    index, rule.daughters[occ - 1].symbol, fixed, supported, atomic=True
-                ):
-                    ok = False
-                    break
-            if ok:
-                kept.append(values)
-        candidates[rule.id] = kept
+            if all(tuple(values[d] for d in picks) in table for _, picks, table in daughters):
+                groups.setdefault(tuple(values[d] for d in mother_dims), []).append(values)
+        plans[rule.id] = (mother_positions, groups, daughters)
 
     # Demand pass: walk supported vectors top-down from the start symbol.
     demanded: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
     demanded[grammar.start] = set(supported[grammar.start])
     worklist: list[tuple[str, Vector]] = [(grammar.start, v) for v in sorted(demanded[grammar.start])]
     retained: dict[str, set[Vector]] = {rule.id: set() for rule in grammar.rules}
-
-    def tuple_demanded(rule: Rule, values: Vector, vec: Vector) -> bool:
-        positions = index.dim_pos(rule.mother.symbol)
-        for dim, value in zip(rule_dims[rule.id], values):
-            for slot in dim.slots:
-                if slot.occ == 0 and vec[positions[slot.feature]] != value:
-                    return False
-        return True
-
     while worklist:
         symbol, vec = worklist.pop()
         for rule in index.rules_by_mother.get(symbol, ()):
-            for values in candidates[rule.id]:
-                if values in retained[rule.id] or not tuple_demanded(rule, values, vec):
+            mother_positions, groups, daughters = plans[rule.id]
+            kept = retained[rule.id]
+            for values in groups.get(tuple(vec[p] for p in mother_positions), ()):
+                if values in kept:
                     continue
-                retained[rule.id].add(values)
-                for occ in range(1, len(rule.daughters) + 1):
-                    daughter = rule.daughters[occ - 1]
-                    fixed = _slot_values(occ, rule_dims[rule.id], values)
-                    positions = index.dim_pos(daughter.symbol)
-                    for dvec in supported[daughter.symbol]:
-                        if dvec in demanded[daughter.symbol]:
-                            continue
-                        if all(dvec[positions[f]] == v for f, v in fixed.items()):
-                            demanded[daughter.symbol].add(dvec)
-                            worklist.append((daughter.symbol, dvec))
+                kept.add(values)
+                for daughter, picks, table in daughters:
+                    seen = demanded[daughter]
+                    for dvec in table[tuple(values[d] for d in picks)]:
+                        if dvec not in seen:
+                            seen.add(dvec)
+                            worklist.append((daughter, dvec))
 
     def tuple_key(rule: Rule):
-        dims = rule_dims[rule.id]
-        domains = [
-            {v: i for i, v in enumerate(index.dim_domain(dim))} for dim in dims
-        ]
+        domains = [index.value_index[dim.slots[0].feature] for dim in rule_dims[rule.id]]
         return lambda values: tuple(dom[v] for dom, v in zip(domains, values))
 
     per_rule = {
@@ -446,10 +421,8 @@ def merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance
     bucket are identical off-dimension) and never drops one (every tuple
     starts as a singleton instance).
     """
-    index = _Index(grammar)
-    domains = [
-        {v: i for i, v in enumerate(index.dim_domain(dim))} for dim in inst.dims
-    ]
+    order = {d.name: {v: i for i, v in enumerate(d.values)} for d in grammar.features}
+    domains = [order[dim.slots[0].feature] for dim in inst.dims]
     instances: list[tuple[tuple[str, ...], ...]] = [
         tuple((value,) for value in values) for values in inst.tuples
     ]
@@ -512,7 +485,10 @@ def emit_cfg(
     if merged is None:
         merged = merge_all(grammar, inst)
     index = _Index(grammar)
-    supported = {sym: set(vectors) for sym, vectors in inst.supported.items()}
+    supported = inst.supported
+    daughter_slots = {
+        rule.id: index.slot_positions(rule, inst.per_rule[rule.id].dims)[1:] for rule in grammar.rules
+    }
 
     # Per-dimension projections of the supported vectors, for canonicalizing.
     projections: dict[str, tuple[tuple[str, ...], ...]] = {}
@@ -541,9 +517,16 @@ def emit_cfg(
             out.append(span)
         return tuple(out)
 
+    support_memo: dict[tuple[str, tuple], bool] = {}
+
     def rect_supported(symbol: str, spans: tuple[tuple[str, ...], ...]) -> bool:
-        fixed = dict(zip(index.naming_dims[symbol], spans))
-        return _rect_has_support(index, symbol, fixed, supported, atomic=False)
+        """Does any supported vector of ``symbol`` fall inside the rectangle?"""
+        key = (symbol, spans)
+        if key not in support_memo:
+            support_memo[key] = any(
+                all(v in span for v, span in zip(vec, spans)) for vec in supported[symbol]
+            )
+        return support_memo[key]
 
     start_spans = canon_rect(grammar.start, projections[grammar.start])
     if start_spans is None or not rect_supported(grammar.start, start_spans):
@@ -573,12 +556,10 @@ def emit_cfg(
                 if restricted is None:
                     continue
                 refs: list[Expr] = []
-                for occ, daughter in enumerate(rule.daughters, start=1):
-                    fixed = _slot_values(occ, instance.dims, restricted)
-                    child_spans = []
-                    positions = index.dim_pos(daughter.symbol)
-                    for feature in index.naming_dims[daughter.symbol]:
-                        child_spans.append(fixed.get(feature, projections[daughter.symbol][positions[feature]]))
+                for daughter, (positions, picks) in zip(rule.daughters, daughter_slots[rule.id]):
+                    child_spans = list(projections[daughter.symbol])
+                    for pos, d_idx in zip(positions, picks):
+                        child_spans[pos] = restricted[d_idx]
                     child = canon_rect(daughter.symbol, child_spans)
                     if child is None or not rect_supported(daughter.symbol, child):
                         refs = []
@@ -664,6 +645,7 @@ def _strongly_connected(order: Sequence[str], edges: Mapping[str, set[str]]) -> 
     stack: list[str] = []
     result: list[list[str]] = []
     counter = 0
+    position = {name: i for i, name in enumerate(order)}
 
     for root in order:
         if root in index_of:
@@ -703,7 +685,6 @@ def _strongly_connected(order: Sequence[str], edges: Mapping[str, set[str]]) -> 
                     component.append(member)
                     if member == node:
                         break
-                position = {name: i for i, name in enumerate(order)}
                 component.sort(key=position.__getitem__)
                 result.append(component)
     return result
@@ -839,7 +820,7 @@ def expansion_stats(
     full domain (variables once per distinct variable), summed over rules;
     the lexicon is not counted on either side.
     """
-    index = _Index(grammar)
+    sizes = {d.name: len(d.values) for d in grammar.features}
     naive = 0
     for rule in grammar.rules:
         combos = 1
@@ -849,9 +830,9 @@ def expansion_stats(
                 if isinstance(constraint, Var):
                     if constraint.name not in seen_vars:
                         seen_vars.add(constraint.name)
-                        combos *= len(index.domains[feature])
+                        combos *= sizes[feature]
                 else:
-                    combos *= len(index.domains[feature])
+                    combos *= sizes[feature]
         naive += combos
     emitted = sum(len(instances) for instances in merged.values())
     return ExpansionStats(naive, emitted)

@@ -18,7 +18,8 @@ from gramlm import (
     parse_grammar_file,
     strip_features,
 )
-from gramlm.compiler import rect_name
+from gramlm.compiler import _Index, rect_name
+from gramlm.grammar import constrained_features
 
 ALL_ASSETS = TOYS + SHUTTLES
 
@@ -121,6 +122,34 @@ def test_instantiation_cap_raises():
     with pytest.raises(ResourceCapError) as err:
         compile_grammar(g, cap_tuples=100)
     assert "cap of 100" in str(err.value)
+
+
+def test_instantiation_cap_threshold_is_pinned():
+    # lexicon vectors + vectors derived by rules + candidate tuples: 4556 in all
+    g = strip_features(grammar("shuttle_rels"))
+    compute_instantiations(g, cap_tuples=4556)
+    with pytest.raises(ResourceCapError):
+        compute_instantiations(g, cap_tuples=4555)
+
+
+@pytest.mark.parametrize("name", ALL_ASSETS)
+def test_index_naming_dims_match_constrained_features(name):
+    for g in (grammar(name), strip_features(grammar(name))):
+        index = _Index(g)
+        symbols = {c.symbol for r in g.rules for c in r.categories()}
+        symbols.update(e.category.symbol for e in g.lexicon)
+        assert index.symbols == symbols
+        for sym in symbols:
+            assert index.naming_dims[sym] == constrained_features(g, sym, include_lexicon=False)
+
+
+@pytest.mark.parametrize(
+    "name, retained", [("shuttle_no_rels", 631), ("shuttle_rels", 745), ("shuttle_unlinked", 724)]
+)
+def test_shuttle_instantiation_counts(name, retained):
+    inst = compiled(name).inst
+    assert sum(len(vectors) for vectors in inst.supported.values()) == 976
+    assert sum(len(s.tuples) for s in inst.per_rule.values()) == retained
 
 
 # ---- emitted grammar vs the reference enumerator ----
