@@ -6,7 +6,11 @@ The pipeline has four stages:
 2. :func:`compute_instantiations` — per rule, the set of atomic value
    tuples over the rule's constrained slots that are both derivable
    bottom-up (supported) and reachable top-down from the start symbol
-   (demanded), alternated to a fixpoint.
+   (demanded). Each rule's candidate tuples are enumerated once. A
+   candidate fires when every daughter projection is supported, which
+   supports its mother vectors; passes over the rules repeat until one adds
+   no vector. One demand closure from the start symbol then retains the
+   fired candidates it reaches.
 3. :func:`merge_ranges` — greedily merge atomic tuples into rule instances
    carrying value *sets* per dimension, preserving an exact disjoint cover
    of the tuple set. A dimension merges only if its slots span at most one
@@ -122,7 +126,7 @@ class Instantiations:
 
     per_rule: dict[str, InstantiationSet]
     supported: dict[str, frozenset[Vector]]
-    naming_dims: dict[str, tuple[str, ...]]
+    index: _Index  # the lookup tables of the grammar they were computed for
 
 
 class _Index:
@@ -213,113 +217,108 @@ def _lex_vectors(index: _Index, category: Category) -> Iterable[Vector]:
     return product(*choices)
 
 
-def _daughter_bindings(
-    index: _Index, cat: Category, supported: Mapping[str, set[Vector]], bindings: dict
-) -> Iterable[dict]:
-    """Extend variable bindings over each supported vector matching ``cat``."""
-    positions = index.positions[cat.symbol]
-    for vec in supported.get(cat.symbol, ()):
-        new = bindings
-        ok = True
-        for feature, constraint in cat.constraints:
-            have = vec[positions[feature]]
-            if isinstance(constraint, Atom):
-                if have != constraint.value:
-                    ok = False
-                    break
-            elif isinstance(constraint, Subset):
-                if have not in constraint.values:
-                    ok = False
-                    break
-            else:
-                bound = new.get(constraint.name)
-                if bound is None:
-                    if new is bindings:
-                        new = dict(bindings)
-                    new[constraint.name] = have
-                elif bound != have:
-                    ok = False
-                    break
-        if ok:
-            yield new
-
-
-def _mother_vectors(index: _Index, rule: Rule, bindings: Mapping[str, str]) -> Iterable[Vector]:
-    """All mother vectors a completed daughter match licenses."""
-    constraint = dict(rule.mother.constraints)
-    unbound: dict[str, tuple[str, ...]] = {}
-    for feature in index.naming_dims[rule.mother.symbol]:
-        value = constraint.get(feature)
-        if isinstance(value, Var) and value.name not in bindings and value.name not in unbound:
-            unbound[value.name] = index.domains[feature]
-    names = sorted(unbound)
-    for extra in product(*(unbound[name] for name in names)):
-        full = dict(bindings)
-        full.update(zip(names, extra))
-        choices = []
-        for feature in index.naming_dims[rule.mother.symbol]:
-            value = constraint.get(feature)
-            if value is None:
-                choices.append(index.domains[feature])
-            elif isinstance(value, Atom):
-                choices.append((value.value,))
-            elif isinstance(value, Subset):
-                choices.append(value.values)
-            else:
-                choices.append((full[value.name],))
-        yield from product(*choices)
-
-
 def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instantiations:
     """Supported-and-demanded atomic tuples per rule.
 
-    Support is a bottom-up fixpoint over atomic naming-dimension vectors
-    seeded from the lexicon. Rules are visited in order, and a vector added
-    late in a pass can feed a rule visited earlier, so passes repeat until
-    one adds nothing: four passes on each shuttle grammar, the last adding
-    nothing. A rule's candidate tuple is supported iff its projection onto
-    every daughter matches a supported vector. Demand is then one worklist
-    closure from every supported start vector: a candidate is retained iff
-    its mother side equals a demanded vector, and retaining it demands
-    every supported vector matching its projection onto a daughter.
+    Each rule's candidate tuples are enumerated once over its dimensions.
+    A candidate fires when its projection onto every daughter matches a
+    supported vector; firing supports every mother vector the candidate
+    fixes, with the mother's free naming positions ranging over their
+    domains. Support is seeded from the lexicon, and every vector is filed
+    at once in the projection tables of its symbol. Rules are visited in
+    order, and a vector added late in a pass can fire a candidate of a rule
+    visited earlier, so passes repeat until one adds nothing: four passes
+    on each shuttle grammar and three on ``tiny_agreement`` and
+    ``indirect_left``, the last adding nothing. Demand is then one worklist
+    closure from every supported start vector: a fired candidate is
+    retained iff its mother side equals a demanded vector, and retaining it
+    demands every supported vector matching its projection onto a daughter.
+
+    The cap counts lexicon vectors, candidates and derived vectors.
     """
     index = _Index(grammar)
     budget = cap_tuples
 
-    def spend(amount: int = 1) -> None:
+    def spend() -> None:
         nonlocal budget
-        budget -= amount
+        budget -= 1
         if budget < 0:
             raise ResourceCapError("instantiation tuples", cap_tuples)
 
+    # Per symbol and per tuple of naming positions some rule fixes on it as
+    # a daughter: the supported vectors keyed by their values there.
+    tables: dict[str, dict[tuple[int, ...], dict[Vector, list[Vector]]]] = {
+        sym: {} for sym in index.symbols
+    }
+    rule_dims: dict[str, tuple[DimSpec, ...]] = {}
+    plans: dict[str, tuple] = {}
+    pending: dict[str, list[Vector]] = {}
+    for rule in grammar.rules:
+        dims = index.rule_dims(rule)
+        rule_dims[rule.id] = dims
+        (mother_positions, mother_dims), *occurrences = index.slot_positions(rule, dims)
+        daughters = [
+            (cat.symbol, picks, tables[cat.symbol].setdefault(positions, {}))
+            for cat, (positions, picks) in zip(rule.daughters, occurrences)
+        ]
+        categories = (rule.mother, *rule.daughters)
+        choices = []
+        for dim in dims:
+            slot = dim.slots[0]
+            constraint = categories[slot.occ].constraint_for(slot.feature)
+            if isinstance(constraint, Atom):
+                choices.append((constraint.value,))
+            elif isinstance(constraint, Subset):
+                choices.append(constraint.values)
+            else:
+                choices.append(index.domains[slot.feature])
+        candidates = []
+        for values in product(*choices):
+            spend()
+            candidates.append(values)
+        pending[rule.id] = candidates
+        free_spans = [
+            index.domains[feature] for feature in index.naming_dims[rule.mother.symbol]
+        ]
+        plans[rule.id] = (mother_positions, mother_dims, free_spans, {}, daughters)
+
     supported: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
+
+    def support(symbol: str, vec: Vector) -> bool:
+        if vec in supported[symbol]:
+            return False
+        spend()
+        supported[symbol].add(vec)
+        for positions, table in tables[symbol].items():
+            table.setdefault(tuple(vec[p] for p in positions), []).append(vec)
+        return True
+
     for entry in grammar.lexicon:
         for vec in _lex_vectors(index, entry.category):
-            if vec not in supported[entry.category.symbol]:
-                spend()
-                supported[entry.category.symbol].add(vec)
+            support(entry.category.symbol, vec)
 
+    # Fire candidates, and group the fired ones by their mother-side values.
     while True:
         changed = False
         for rule in grammar.rules:
-            states: list[dict] = [{}]
-            for daughter in rule.daughters:
-                states = [
-                    extended
-                    for bindings in states
-                    for extended in _daughter_bindings(index, daughter, supported, bindings)
-                ]
-                deduped = {tuple(sorted(s.items())): s for s in states}
-                states = list(deduped.values())
-                if not states:
-                    break
-            target = supported[rule.mother.symbol]
-            for bindings in states:
-                for vec in _mother_vectors(index, rule, bindings):
-                    if vec not in target:
-                        spend()
-                        target.add(vec)
-                        changed = True
+            mother_positions, mother_dims, free_spans, groups, daughters = plans[rule.id]
+            waiting = []
+            for values in pending[rule.id]:
+                if not all(
+                    tuple(values[d] for d in picks) in table for _, picks, table in daughters
+                ):
+                    waiting.append(values)
+                    continue
+                key = tuple(values[d] for d in mother_dims)
+                if key not in groups:
+                    groups[key] = []
+                    spans = list(free_spans)
+                    for pos, value in zip(mother_positions, key):
+                        spans[pos] = (value,)
+                    for vec in product(*spans):
+                        changed = support(rule.mother.symbol, vec) or changed
+                groups[key].append(values)
+            pending[rule.id] = waiting
         if not changed:
             break
 
@@ -327,51 +326,6 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
         raise CompileError(
             f"start symbol {grammar.start!r} has no supported instantiations"
         )
-
-    # Supported vectors keyed by their values at some naming positions,
-    # built once per (symbol, positions).
-    projected: dict[tuple[str, tuple[int, ...]], dict[Vector, list[Vector]]] = {}
-
-    def by_projection(symbol: str, positions: tuple[int, ...]) -> dict[Vector, list[Vector]]:
-        table = projected.get((symbol, positions))
-        if table is None:
-            table = projected[(symbol, positions)] = {}
-            for vec in supported[symbol]:
-                table.setdefault(tuple(vec[p] for p in positions), []).append(vec)
-        return table
-
-    # Enumerate each rule's candidate tuples over its dimensions, keep those
-    # every daughter supports, and group them by their mother-side values.
-    rule_dims: dict[str, tuple[DimSpec, ...]] = {}
-    plans: dict[str, tuple] = {}
-    for rule in grammar.rules:
-        dims = index.rule_dims(rule)
-        rule_dims[rule.id] = dims
-        (mother_positions, mother_dims), *occurrences = index.slot_positions(rule, dims)
-        daughters = [
-            (cat.symbol, picks, by_projection(cat.symbol, positions))
-            for cat, (positions, picks) in zip(rule.daughters, occurrences)
-        ]
-        choices = []
-        for dim in dims:
-            lone = dim.slots[0]
-            constraint = None
-            if len(dim.slots) == 1:
-                for occ, cat in enumerate(rule.categories()):
-                    if occ == lone.occ:
-                        constraint = cat.constraint_for(lone.feature)
-            if isinstance(constraint, Atom):
-                choices.append((constraint.value,))
-            elif isinstance(constraint, Subset):
-                choices.append(constraint.values)
-            else:
-                choices.append(index.domains[lone.feature])
-        groups: dict[Vector, list[Vector]] = {}
-        for values in product(*choices):
-            spend()
-            if all(tuple(values[d] for d in picks) in table for _, picks, table in daughters):
-                groups.setdefault(tuple(values[d] for d in mother_dims), []).append(values)
-        plans[rule.id] = (mother_positions, groups, daughters)
 
     # Demand pass: walk supported vectors top-down from the start symbol.
     demanded: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
@@ -381,7 +335,7 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     while worklist:
         symbol, vec = worklist.pop()
         for rule in index.rules_by_mother.get(symbol, ()):
-            mother_positions, groups, daughters = plans[rule.id]
+            mother_positions, _, _, groups, daughters = plans[rule.id]
             kept = retained[rule.id]
             for values in groups.get(tuple(vec[p] for p in mother_positions), ()):
                 if values in kept:
@@ -407,7 +361,7 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     return Instantiations(
         per_rule,
         {sym: frozenset(vectors) for sym, vectors in supported.items()},
-        dict(index.naming_dims),
+        index,
     )
 
 
@@ -432,7 +386,7 @@ def merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance
             if not dim.mergeable:
                 continue
             buckets: dict[tuple, list[tuple[str, ...]]] = {}
-            order: list[tuple] = []
+            keys: list[tuple] = []
             for values in sorted(
                 instances,
                 key=lambda vs: tuple(
@@ -442,10 +396,10 @@ def merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance
                 key = tuple(span for i, span in enumerate(values) if i != d_idx)
                 if key not in buckets:
                     buckets[key] = []
-                    order.append(key)
+                    keys.append(key)
                 buckets[key].append(values[d_idx])
             merged: list[tuple[tuple[str, ...], ...]] = []
-            for key in order:
+            for key in keys:
                 union = sorted(
                     {v for span in buckets[key] for v in span}, key=domains[d_idx].__getitem__
                 )
@@ -484,7 +438,7 @@ def emit_cfg(
     """Emit the context-free grammar over demanded rectangle nonterminals."""
     if merged is None:
         merged = merge_all(grammar, inst)
-    index = _Index(grammar)
+    index = inst.index
     supported = inst.supported
     daughter_slots = {
         rule.id: index.slot_positions(rule, inst.per_rule[rule.id].dims)[1:] for rule in grammar.rules

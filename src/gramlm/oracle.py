@@ -125,26 +125,34 @@ class _Analyzer:
         for feature, value in rule.mother.constraints:
             if isinstance(value, Var):
                 var_mother_slots[value.name] = var_mother_slots.get(value.name, 0) + 1
-        choices: list[tuple[Optional[str], ...]] = []
+        # A repeated unbound mother variable must take a single concrete
+        # value, shared by all its slots; split over the feature's domain.
+        split: dict[str, tuple[str, ...]] = {}
         for feature in feats:
             value = constraint.get(feature)
-            if value is None:
-                choices.append((FREE,))
-            elif isinstance(value, Atom):
-                choices.append((value.value,))
-            elif isinstance(value, Subset):
-                choices.append(tuple(value.values))
-            else:
-                bound = bindings.get(value.name)
-                if bound is not None:
-                    choices.append((bound,))
-                elif var_mother_slots.get(value.name, 0) > 1:
-                    # A repeated unbound mother variable must take a single
-                    # concrete value; split over the feature's domain.
-                    choices.append(tuple(self.domains[feature]))
-                else:
+            if (
+                isinstance(value, Var)
+                and value.name not in bindings
+                and var_mother_slots[value.name] > 1
+            ):
+                split.setdefault(value.name, tuple(self.domains[feature]))
+        names = sorted(split)
+        items: list[FMap] = []
+        for picked in product(*(split[name] for name in names)):
+            full = {**bindings, **dict(zip(names, picked))}
+            choices: list[tuple[Optional[str], ...]] = []
+            for feature in feats:
+                value = constraint.get(feature)
+                if value is None:
                     choices.append((FREE,))
-        return [tuple(combo) for combo in product(*choices)]
+                elif isinstance(value, Atom):
+                    choices.append((value.value,))
+                elif isinstance(value, Subset):
+                    choices.append(tuple(value.values))
+                else:
+                    choices.append((full.get(value.name, FREE),))
+            items.extend(tuple(combo) for combo in product(*choices))
+        return items
 
 
 def _check_tokens(grammar: Grammar, tokens: Sequence[str]) -> None:

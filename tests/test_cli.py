@@ -180,6 +180,17 @@ def test_bad_grammar_is_a_usage_error(tmp_path):
     assert "error:" in r.stderr
 
 
+def test_unsupported_start_symbol_is_a_usage_error(tmp_path):
+    bad = tmp_path / "unsupported.gram"
+    bad.write_text(
+        "feature f syn {a, b}\nstart S\nrule s: S -> A:[f=a]\nlex \"x\": A:[f=b]\n",
+        encoding="utf-8",
+    )
+    r = run("compile", bad, "--out", tmp_path / "out")
+    assert r.returncode == 1
+    assert "start symbol 'S' has no supported instantiations" in r.stderr
+
+
 def test_no_subcommand_is_a_usage_error():
     r = run()
     assert r.returncode == 1

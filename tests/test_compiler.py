@@ -6,6 +6,7 @@ import pytest
 from conftest import SHUTTLES, TOYS, compiled, grammar, leftmost_cycle_free
 
 from gramlm import (
+    CompileError,
     ResourceCapError,
     cfg_enumerate,
     cfg_to_text,
@@ -14,6 +15,7 @@ from gramlm import (
     eliminate_left_recursion,
     merge_all,
     oracle_enumerate,
+    oracle_parse,
     parse_grammar,
     parse_grammar_file,
     strip_features,
@@ -162,6 +164,99 @@ def test_compiled_language_matches_oracle(name):
     want = oracle_enumerate(g, 6)
     assert cfg_enumerate(result.cfg_raw, 6) == want
     assert cfg_enumerate(result.cfg, 6) == want
+
+
+# Mother expansions no shipped asset exercises, with the supported vectors
+# each must produce.
+MOTHER_CORNERS = {
+    "mother_only_variable": (
+        """
+        feature n syn {sg, pl}
+        start S
+        rule s: S -> NP:[n=X] V:[n=X]
+        rule np: NP:[n=M] -> Q
+        lex "q": Q
+        lex "v": V:[n=pl]
+        """,
+        {"S": {()}, "NP": {("sg",), ("pl",)}, "Q": {()}, "V": {("pl",)}},
+    ),
+    "mother_subset": (
+        """
+        feature n syn {sg, du, pl}
+        start S
+        rule s: S -> NP:[n=X] V:[n=X]
+        rule np: NP:[n={sg, du}] -> D
+        lex "d": D
+        lex "e": NP:[n=pl]
+        lex "v": V:[n={du, pl}]
+        lex "w": V:[n=sg]
+        """,
+        {
+            "S": {()},
+            "NP": {("sg",), ("du",), ("pl",)},
+            "D": {()},
+            "V": {("sg",), ("du",), ("pl",)},
+        },
+    ),
+    "unconstrained_mother_dimension": (
+        """
+        feature n syn {sg, pl}
+        feature c syn {x, y}
+        start S
+        rule s: S -> X:[n=N] W:[n=N]
+        rule x: X:[c=x] -> Z
+        rule x2: X:[n=sg, c=y] -> Z Z
+        lex "z": Z
+        lex "w": W:[n=pl]
+        """,
+        {"S": {()}, "X": {("sg", "x"), ("pl", "x"), ("sg", "y")}, "Z": {()}, "W": {("pl",)}},
+    ),
+    "repeated_mother_variable": (
+        """
+        feature f syn {a, b}
+        feature g syn {a, b}
+        start S
+        rule s: S -> A:[f=X, g=X] B:[f=X]
+        rule s2: S -> A:[f=a, g=b]
+        rule a: A:[f=Y, g=Y] -> W
+        rule b: B:[f=a] -> U
+        lex "w": W
+        lex "u": U
+        """,
+        {"S": {()}, "A": {("a", "a"), ("b", "b")}, "B": {("a",)}, "U": {()}, "W": {()}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOTHER_CORNERS))
+def test_mother_expansion_corners_match_oracle(name):
+    text, supported = MOTHER_CORNERS[name]
+    g = parse_grammar(text)
+    result = compile_grammar(g)
+    assert {sym: set(vectors) for sym, vectors in result.inst.supported.items()} == supported
+    for max_len in range(1, 6):
+        assert cfg_enumerate(result.cfg, max_len) == oracle_enumerate(g, max_len)
+
+
+def test_repeated_mother_variable_takes_one_value():
+    # A:[f=Y, g=Y] -> W licenses A:[f=a, g=a] and A:[f=b, g=b], never
+    # A:[f=a, g=b], so rule s2 derives nothing
+    g = parse_grammar(MOTHER_CORNERS["repeated_mother_variable"][0])
+    assert oracle_enumerate(g, 5) == cfg_enumerate(compile_grammar(g).cfg, 5) == {("w", "u")}
+    assert not oracle_parse(g, ["w"]).accepted
+
+
+def test_unsupported_start_symbol_is_a_compile_error():
+    g = parse_grammar(
+        """
+        feature f syn {a, b}
+        start S
+        rule s: S -> A:[f=a]
+        lex "x": A:[f=b]
+        """
+    )
+    with pytest.raises(CompileError, match="start symbol 'S' has no supported instantiations"):
+        compile_grammar(g)
 
 
 def test_start_symbol_survives_compilation():
