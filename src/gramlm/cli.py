@@ -175,6 +175,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _by_length(string: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """Sort key: shortest first, then lexicographic."""
+    return (len(string), string)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     grammar = _load_variant(args)
     keep = _keep_features(args.features)
@@ -187,9 +192,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if want == got:
         print(f"EQUIVALENT up to length {args.max_len} ({len(want)} strings)")
         return EXIT_OK
+    print(f"first difference at length {min(len(s) for s in want ^ got)}")
     for label, strings in (
-        ("missing from compiled model", sorted(want - got)),
-        ("extra in compiled model", sorted(got - want)),
+        ("missing from compiled model", sorted(want - got, key=_by_length)),
+        ("extra in compiled model", sorted(got - want, key=_by_length)),
     ):
         if strings:
             print(f"{label} ({len(strings)}):")
@@ -255,7 +261,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         cfg = compile_grammar(grammar, features=keep, cap_tuples=args.cap_tuples).cfg
         strings = cfg_enumerate(cfg, args.max_len, cap=args.cap_strings)
-    for s in sorted(strings, key=lambda t: (len(t), t)):
+    for s in sorted(strings, key=_by_length):
         print(" ".join(s))
     print(f"# {len(strings)} strings up to length {args.max_len}", file=sys.stderr)
     return EXIT_OK

@@ -320,32 +320,51 @@ def oracle_enumerate(
 ) -> set[tuple[str, ...]]:
     """All token sequences of length <= max_len derivable from the start symbol.
 
-    ``cap`` bounds the number of stored (item, string) pairs; exceeding it
-    raises :class:`ResourceCapError`.
+    Semi-naive evaluation over items. Each item's strings are held per
+    length in two tables: ``old``, held before the previous pass, and
+    ``delta``, gained in it. The lexicon seeds the first delta. Every pass
+    re-derives a rule once per daughter position k whose symbol has items
+    that gained strings: position k matches only those items and reads
+    their delta, positions before k read ``old`` and positions after k read
+    everything held. These sets of derivations are disjoint and together
+    cover every derivation that uses a string gained in the previous pass,
+    so nothing already concatenated is concatenated again. The loop stops
+    when a pass gains nothing.
+
+    ``cap`` bounds the number of distinct (item, string) pairs stored; each
+    is charged when it is first kept, and exceeding the cap raises
+    :class:`ResourceCapError`.
     """
     analyzer = _Analyzer(grammar, feature_filter)
     stored = 0
 
-    # lang[item][length] -> set of token tuples
-    lang: dict[_Item, dict[int, set[tuple[str, ...]]]] = {}
+    # old/delta/fresh[item][length] -> set of token tuples
+    Table = dict[_Item, dict[int, set[tuple[str, ...]]]]
+    old: Table = {}
+    delta: Table = {}
+    fresh: Table = {}
 
-    def add(item: _Item, string: tuple[str, ...]) -> bool:
+    def keep(item: _Item, strings: dict[int, set[tuple[str, ...]]]) -> None:
         nonlocal stored
-        buckets = lang.setdefault(item, {})
-        bucket = buckets.setdefault(len(string), set())
-        if string in bucket:
-            return False
-        stored += 1
-        if stored > cap:
-            raise ResourceCapError("enumerated strings", cap)
-        bucket.add(string)
-        return True
+        held_old = old.get(item, {})
+        held_delta = delta.get(item, {})
+        for length, bucket in strings.items():
+            new = bucket.difference(
+                held_old.get(length, ()),
+                held_delta.get(length, ()),
+                fresh.get(item, {}).get(length, ()),
+            )
+            if new:
+                stored += len(new)
+                if stored > cap:
+                    raise ResourceCapError("enumerated strings", cap)
+                fresh.setdefault(item, {}).setdefault(length, set()).update(new)
 
     for entry in grammar.lexicon:
         if len(entry.surface) > max_len:
             continue
         for fmap in analyzer.lexical_items(entry.category):
-            add(_Item(entry.category.symbol, fmap), entry.surface)
+            keep(_Item(entry.category.symbol, fmap), {len(entry.surface): {entry.surface}})
 
     # Minimum yield per symbol prunes hopeless daughter suffixes.
     min_yield: dict[str, int] = {}
@@ -363,59 +382,90 @@ def oracle_enumerate(
         if not changed:
             break
 
-    by_symbol: dict[str, set[_Item]] = {}
-    for item in lang:
-        by_symbol.setdefault(item.symbol, set()).add(item)
+    rules: list[tuple[Rule, list[int]]] = []
+    users: dict[str, set[int]] = {}
+    for rule in grammar.rules:
+        suffix_min = [0] * (len(rule.daughters) + 1)
+        for idx in range(len(rule.daughters) - 1, -1, -1):
+            need = min_yield.get(rule.daughters[idx].symbol, max_len + 1)
+            suffix_min[idx] = suffix_min[idx + 1] + need
+        if suffix_min[0] > max_len:
+            continue
+        for daughter in rule.daughters:
+            users.setdefault(daughter.symbol, set()).add(len(rules))
+        rules.append((rule, suffix_min))
 
+    def extend(states, daughter, rest, items, tables):
+        """Match ``daughter`` against ``items``, reading their strings in
+        ``tables``; ``rest`` is the least yield of the daughters after it."""
+        next_states = []
+        for bindings, strings in states:
+            for item in items:
+                extended = analyzer.match_item(daughter, item, bindings)
+                if extended is None:
+                    continue
+                combined: dict[int, set[tuple[str, ...]]] = {}
+                for table in tables:
+                    for got_len, got in table.get(item, {}).items():
+                        for have_len, have in strings.items():
+                            total = have_len + got_len
+                            if total + rest > max_len:
+                                continue
+                            bucket = combined.setdefault(total, set())
+                            bucket.update(p + s for p in have for s in got)
+                if combined:
+                    next_states.append((extended, combined))
+        return next_states
+
+    # Items per symbol that hold old strings, and that hold any strings.
+    old_items: dict[str, list[_Item]] = {}
+    held_items: dict[str, list[_Item]] = {}
     while True:
-        changed = False
-        for rule in grammar.rules:
-            suffix_min = [0] * (len(rule.daughters) + 1)
-            for idx in range(len(rule.daughters) - 1, -1, -1):
-                need = min_yield.get(rule.daughters[idx].symbol, max_len + 1)
-                suffix_min[idx] = suffix_min[idx + 1] + need
-            if suffix_min[0] > max_len:
-                continue
-            states: list[tuple[dict, dict[int, set[tuple[str, ...]]]]] = [
-                ({}, {0: {()}})
-            ]
-            for idx, daughter in enumerate(rule.daughters):
-                next_states = []
-                for bindings, strings in states:
-                    for item in sorted(
-                        by_symbol.get(daughter.symbol, ()),
-                        key=lambda it: str(it.fmap),
-                    ):
-                        extended = analyzer.match_item(daughter, item, bindings)
-                        if extended is None:
-                            continue
-                        combined: dict[int, set[tuple[str, ...]]] = {}
-                        for got_len, got in lang[item].items():
-                            for have_len, have in strings.items():
-                                total = have_len + got_len
-                                if total + suffix_min[idx + 1] > max_len:
-                                    continue
-                                bucket = combined.setdefault(total, set())
-                                bucket.update(p + s for p in have for s in got)
-                        if combined:
-                            next_states.append((extended, combined))
-                states = next_states
-                if not states:
-                    break
-            for bindings, strings in states:
-                for fmap in analyzer.mother_items(rule, bindings):
-                    item = _Item(rule.mother.symbol, fmap)
-                    if item not in lang:
-                        by_symbol.setdefault(item.symbol, set()).add(item)
-                    for bucket in strings.values():
-                        for string in bucket:
-                            if add(item, string):
-                                changed = True
-        if not changed:
+        for item, buckets in delta.items():
+            held = old.get(item)
+            if held is None:
+                held = old[item] = {}
+                old_items.setdefault(item.symbol, []).append(item)
+            for length, bucket in buckets.items():
+                held.setdefault(length, set()).update(bucket)
+        if not fresh:
             break
+        delta, fresh = fresh, {}
+        delta_items: dict[str, list[_Item]] = {}
+        for item in delta:
+            delta_items.setdefault(item.symbol, []).append(item)
+            if item not in old:
+                held_items.setdefault(item.symbol, []).append(item)
+        todo = sorted({idx for symbol in delta_items for idx in users.get(symbol, ())})
+        for rule, suffix_min in map(rules.__getitem__, todo):
+            daughters = rule.daughters
+            last = max(k for k, d in enumerate(daughters) if d.symbol in delta_items)
+            prefix: list[tuple[dict, dict[int, set[tuple[str, ...]]]]] = [({}, {0: {()}})]
+            for k in range(last + 1):
+                symbol = daughters[k].symbol
+                if symbol in delta_items:
+                    states = extend(
+                        prefix, daughters[k], suffix_min[k + 1], delta_items[symbol], (delta,)
+                    )
+                    for idx in range(k + 1, len(daughters)):
+                        if not states:
+                            break
+                        after = held_items.get(daughters[idx].symbol, ())
+                        states = extend(
+                            states, daughters[idx], suffix_min[idx + 1], after, (old, delta)
+                        )
+                    for bindings, strings in states:
+                        for fmap in analyzer.mother_items(rule, bindings):
+                            keep(_Item(rule.mother.symbol, fmap), strings)
+                if k < last:
+                    prefix = extend(
+                        prefix, daughters[k], suffix_min[k + 1], old_items.get(symbol, ()), (old,)
+                    )
+                    if not prefix:
+                        break
 
     result: set[tuple[str, ...]] = set()
-    for item, buckets in lang.items():
+    for item, buckets in old.items():
         if item.symbol == grammar.start:
             for bucket in buckets.values():
                 result.update(bucket)

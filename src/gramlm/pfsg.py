@@ -492,63 +492,117 @@ def cfg_parse(
 def cfg_enumerate(
     cfg: ContextFreeGrammar, max_len: int, cap: int = 10**6
 ) -> set[tuple[str, ...]]:
-    """All strings of length <= max_len in the grammar's language."""
+    """All strings of length <= max_len in the grammar's language.
+
+    Semi-naive evaluation. Each symbol's strings are held per length in two
+    tables: ``old``, held before the previous pass, and ``delta``, gained in
+    it. The first pass derives from the all-terminal alternatives only.
+    Every later pass re-derives an alternative once per reference position
+    k whose referent gained strings: position k reads only that delta,
+    positions before k read ``old`` and positions after k read everything
+    held. These sets of derivations are disjoint and together cover every
+    derivation that uses a string gained in the previous pass, so nothing
+    already concatenated is concatenated again. The loop stops when a pass
+    gains nothing.
+
+    ``cap`` bounds the number of distinct (production, string) entries
+    stored; each is charged when it is first kept, and exceeding the cap
+    raises :class:`ResourceCapError`.
+    """
     grammar = _plain_grammar(cfg)
-    lang: dict[str, dict[int, set[tuple[str, ...]]]] = {
-        name: {} for name in grammar.productions
-    }
-    stored = 0
     min_yield = _min_yields(grammar, max_len)
+    # old/delta/fresh[symbol][length] -> strings; a terminal holds its word
+    # in ``old`` from the start and never gains anything.
+    Table = dict[Symbol, dict[int, set[tuple[str, ...]]]]
+    old: Table = {}
+    delta: Table = {}
+    fresh: Table = {}
+    stored = 0
+
+    alternatives: list[tuple[Symbol, tuple[Symbol, ...], list[int]]] = []
+    users: dict[Symbol, set[int]] = {}
+    for name, options in grammar.productions.items():
+        for symbols, _ in options:
+            tail_min = [0] * (len(symbols) + 1)
+            for idx in range(len(symbols) - 1, -1, -1):
+                kind, value = symbols[idx]
+                need = 1 if kind == _TERM else min_yield.get(value, max_len + 1)
+                tail_min[idx] = tail_min[idx + 1] + need
+            if tail_min[0] > max_len:
+                continue
+            for symbol in symbols:
+                if symbol[0] == _TERM:
+                    old[symbol] = {1: {(symbol[1],)}}
+                else:
+                    users.setdefault(symbol, set()).add(len(alternatives))
+            alternatives.append(((_REF, name), symbols, tail_min))
+
+    def extend(partial, got, rest):
+        """Append each of ``got`` to each partial string; ``rest`` is the
+        least yield of the symbols still to come."""
+        grown: dict[int, set[tuple[str, ...]]] = {}
+        for got_len, got_strings in got:
+            for length, strings in partial.items():
+                total = length + got_len
+                if total + rest > max_len:
+                    continue
+                grown.setdefault(total, set()).update(
+                    p + s for p in strings for s in got_strings
+                )
+        return grown
+
+    def keep(symbol, partial) -> None:
+        nonlocal stored
+        held_old = old.get(symbol, {})
+        held_delta = delta.get(symbol, {})
+        for length, strings in partial.items():
+            new = strings.difference(
+                held_old.get(length, ()),
+                held_delta.get(length, ()),
+                fresh.get(symbol, {}).get(length, ()),
+            )
+            if new:
+                stored += len(new)
+                if stored > cap:
+                    raise ResourceCapError("enumerated strings", cap)
+                fresh.setdefault(symbol, {}).setdefault(length, set()).update(new)
+
+    for mother, symbols, tail_min in alternatives:
+        if all(kind == _TERM for kind, _ in symbols):
+            partial = {0: {()}}
+            for idx, symbol in enumerate(symbols):
+                partial = extend(partial, old[symbol].items(), tail_min[idx + 1])
+            keep(mother, partial)
 
     while True:
-        changed = False
-        for name, alternatives in grammar.productions.items():
-            buckets = lang[name]
-            for symbols, _ in alternatives:
-                tail_min = [0] * (len(symbols) + 1)
-                for idx in range(len(symbols) - 1, -1, -1):
-                    kind, value = symbols[idx]
-                    need = 1 if kind == _TERM else min_yield.get(value, max_len + 1)
-                    tail_min[idx] = tail_min[idx + 1] + need
-                if tail_min[0] > max_len:
-                    continue
-                partial: dict[int, set[tuple[str, ...]]] = {0: {()}}
-                for idx, (kind, value) in enumerate(symbols):
-                    grown: dict[int, set[tuple[str, ...]]] = {}
-                    if kind == _TERM:
-                        for length, strings in partial.items():
-                            total = length + 1
-                            if total + tail_min[idx + 1] > max_len:
-                                continue
-                            grown.setdefault(total, set()).update(
-                                s + (value,) for s in strings
-                            )
-                    else:
-                        for got_len, got in lang[value].items():
-                            for length, strings in partial.items():
-                                total = length + got_len
-                                if total + tail_min[idx + 1] > max_len:
-                                    continue
-                                grown.setdefault(total, set()).update(
-                                    p + s for p in strings for s in got
-                                )
-                    partial = grown
-                    if not partial:
-                        break
-                for length, strings in partial.items():
-                    bucket = buckets.setdefault(length, set())
-                    for string in strings:
-                        if string not in bucket:
-                            bucket.add(string)
-                            stored += 1
-                            if stored > cap:
-                                raise ResourceCapError("enumerated strings", cap)
-                            changed = True
-        if not changed:
+        for symbol, buckets in delta.items():
+            held = old.setdefault(symbol, {})
+            for length, strings in buckets.items():
+                held.setdefault(length, set()).update(strings)
+        if not fresh:
             break
+        delta, fresh = fresh, {}
+        todo = sorted({idx for symbol in delta for idx in users.get(symbol, ())})
+        for mother, symbols, tail_min in map(alternatives.__getitem__, todo):
+            last = max(k for k, symbol in enumerate(symbols) if symbol in delta)
+            prefix = {0: {()}}  # old strings of the positions before k
+            for k, symbol in enumerate(symbols[: last + 1]):
+                if symbol in delta:
+                    partial = extend(prefix, delta[symbol].items(), tail_min[k + 1])
+                    for idx in range(k + 1, len(symbols)):
+                        if not partial:
+                            break
+                        after = symbols[idx]
+                        got = [*old.get(after, {}).items(), *delta.get(after, {}).items()]
+                        partial = extend(partial, got, tail_min[idx + 1])
+                    keep(mother, partial)
+                if k < last:
+                    prefix = extend(prefix, old.get(symbol, {}).items(), tail_min[k + 1])
+                    if not prefix:
+                        break
 
     result: set[tuple[str, ...]] = set()
-    for bucket in lang[grammar.start].values():
+    for bucket in old.get((_REF, grammar.start), {}).values():
         result.update(bucket)
     return result
 

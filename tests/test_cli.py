@@ -41,6 +41,7 @@ def test_check_against_a_stale_model_fails(tmp_path):
         tmp_path / "grammar.cfg",
     )
     assert r.returncode == 2
+    assert r.stdout.splitlines()[0] == "first difference at length 1"
     assert "missing from compiled model" in r.stdout
 
 

@@ -4,10 +4,15 @@ import math
 
 import pytest
 from conftest import SHUTTLES, TOYS, compiled, grammar, metrics, pfsgs
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gramlm import (
+    CompileError,
+    ContextFreeGrammar,
     ResourceCapError,
     UndefinedPerplexityError,
+    build_pfsg,
     cfg_enumerate,
     cfg_parse,
     metrics_from_kv,
@@ -18,6 +23,7 @@ from gramlm import (
     pfsg_enumerate,
     pfsg_to_text,
 )
+from gramlm.cfg import Ref, Star, Term, alt, seq
 from gramlm.pfsg import _category_of
 
 ALL_ASSETS = TOYS + SHUTTLES
@@ -171,6 +177,58 @@ def test_enumeration_cap_raises():
 def test_enumeration_under_cap_succeeds():
     lang = cfg_enumerate(compiled("wordplus3").cfg, 2, cap=100)
     assert len(lang) == 12  # 3 + 9
+
+
+# Smallest passing caps: each enumerator stores this many distinct entries,
+# (production, string) for the model and (item, string) for the oracle.
+CAP_THRESHOLDS = [
+    ("shuttle_rels", 5, 60874, 19305),
+    ("wordplus3", 8, 9843, 9843),
+    ("direct_left", 8, 18, 10),
+]
+
+
+@pytest.mark.parametrize("name,max_len,model_cap,oracle_cap", CAP_THRESHOLDS)
+def test_enumeration_cap_threshold_is_the_stored_count(name, max_len, model_cap, oracle_cap):
+    cfg = compiled(name).cfg
+    assert cfg_enumerate(cfg, max_len, cap=model_cap)
+    with pytest.raises(ResourceCapError):
+        cfg_enumerate(cfg, max_len, cap=model_cap - 1)
+    assert oracle_enumerate(grammar(name), max_len, cap=oracle_cap)
+    with pytest.raises(ResourceCapError):
+        oracle_enumerate(grammar(name), max_len, cap=oracle_cap - 1)
+
+
+# ---- model-side differential: cfg_enumerate against the naive graph walk ----
+
+_NAMES = ("n0", "n1", "n2", "n3")
+_item = st.one_of(st.sampled_from(("a", "b")).map(Term), st.sampled_from(_NAMES).map(Ref))
+
+
+@st.composite
+def _option(draw):
+    items = draw(st.lists(_item, min_size=1, max_size=3))
+    if len(items) > 1 and draw(st.booleans()):
+        at = draw(st.integers(min_value=1, max_value=len(items) - 1))
+        items.insert(at, Star(draw(_item)))
+    return seq(items)
+
+
+_cfgs = st.lists(
+    st.lists(_option(), min_size=1, max_size=3).map(alt), min_size=4, max_size=4
+).map(lambda bodies: ContextFreeGrammar("n0", tuple(zip(_NAMES, bodies))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_cfgs, max_len=st.integers(min_value=1, max_value=5))
+def test_cfg_enumerate_matches_graph_walk_on_random_grammars(cfg, max_len):
+    """References sit anywhere, so direct and indirect left recursion occur;
+    ``pfsg_enumerate`` stays naive and is the reference."""
+    try:
+        graphs = build_pfsg(cfg)
+    except CompileError:
+        assume(False)
+    assert cfg_enumerate(cfg, max_len) == pfsg_enumerate(graphs, max_len)
 
 
 # ---- perplexity ----
