@@ -86,14 +86,6 @@ class ContextFreeGrammar:
                 return expr
         raise KeyError(name)
 
-    def terminals(self) -> frozenset[str]:
-        return frozenset(
-            node.token
-            for _, expr in self.productions
-            for node in iter_nodes(expr)
-            if isinstance(node, Term)
-        )
-
 
 def iter_nodes(expr: Expr) -> Iterator[Expr]:
     yield expr

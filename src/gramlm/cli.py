@@ -20,7 +20,7 @@ from typing import NoReturn, Optional, Sequence, Union
 from .analysis import compare, diff_to_table, k_words_per_category, unlink_features, wordplus_grammar
 from .cfg import cfg_from_text, cfg_to_text
 from .compiler import compile_grammar, strip_features
-from .errors import GramlmError, ResourceCapError, UndefinedPerplexityError
+from .errors import CAP_STRINGS, GramlmError, ResourceCapError, UndefinedPerplexityError
 from .grammar import Grammar, parse_grammar_file, print_grammar, surface_tokens
 from .oracle import oracle_enumerate, oracle_parse
 from .pfsg import (
@@ -95,7 +95,7 @@ def _add_cap_strings(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap-strings",
         type=int,
-        default=8 * 10**6,
+        default=CAP_STRINGS,
         metavar="N",
         help="abort enumeration beyond N stored strings (default: %(default)s)",
     )

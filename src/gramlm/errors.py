@@ -41,6 +41,11 @@ class UnknownTokenError(GramlmError):
         self.position = position
 
 
+# Default cap on the strings one enumeration stores, for the library and
+# the command line alike.
+CAP_STRINGS = 8 * 10**6
+
+
 class ResourceCapError(GramlmError):
     """An enumeration or instantiation exceeded its configured cap."""
 

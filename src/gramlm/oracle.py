@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .errors import ResourceCapError, UnknownTokenError
+from .errors import CAP_STRINGS, ResourceCapError, UnknownTokenError
 from .grammar import Atom, Category, Grammar, Rule, Subset, Var, constrained_features
 
 FREE = None
@@ -316,7 +316,7 @@ def oracle_enumerate(
     grammar: Grammar,
     max_len: int,
     feature_filter: Optional[Iterable[str]] = None,
-    cap: int = 10**6,
+    cap: int = CAP_STRINGS,
 ) -> set[tuple[str, ...]]:
     """All token sequences of length <= max_len derivable from the start symbol.
 

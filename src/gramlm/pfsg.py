@@ -10,18 +10,27 @@ the node the starred group follows; when the star trails the whole
 production that node is the end node, whose residual 0.5 is the implicit
 stop (the end node is exempt from the sum-to-one invariant).
 
-The same 0.5 loop/continue split drives :func:`cfg_parse`, so the graph
-and the grammar assign every string the same probability.
+Evaluation runs on the plain grammar, a star-free rewrite in which a star
+is a 0.5 skip / 0.5 enter choice over a fresh one-or-more production. Those
+are the graph's loop masses, so the graph and the grammar assign every
+string the same probability. :func:`cfg_parse` scores a sentence with one
+Earley pass, carrying probabilities with a binary exponent so that long
+sentences do not underflow; :func:`perplexity` builds the parse tables
+once for its whole corpus. :func:`cfg_enumerate` and :func:`pfsg_enumerate`
+list the strings of the grammar and of the graphs up to a length, in
+separate code so that each checks the other.
 """
 
 from __future__ import annotations
 
+import graphlib
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term
-from .errors import CompileError, ResourceCapError, UndefinedPerplexityError
+from .errors import CAP_STRINGS, CompileError, ResourceCapError, UndefinedPerplexityError
 
 LOOP_MASS = 0.5
 
@@ -381,116 +390,179 @@ def _min_yields(grammar: _PlainGrammar, limit: int) -> dict[str, int]:
     return min_yield
 
 
+# A mantissa below this is renormalised with frexp, so that the product of
+# two stored mantissas is still a normal float.
+_TINY = 2.0**-256
+
+
+def _add(table: dict, key, count: int, mantissa: float, exponent: int, cap: int) -> None:
+    """Add a value, as (count, mantissa, binary exponent), into ``table[key]``."""
+    have = table.get(key)
+    if have is None:
+        table[key] = [count, mantissa, exponent]
+        return
+    have[0] = min(have[0] + count, cap)
+    if have[2] == exponent:
+        have[1] += mantissa
+    elif have[2] > exponent:
+        have[1] += math.ldexp(mantissa, exponent - have[2])
+    else:
+        have[1] = mantissa + math.ldexp(have[1], have[2] - exponent)
+        have[2] = exponent
+
+
+def _unit_ranks(units: dict[str, list[str]]) -> dict[str, int]:
+    """Rank each production above those it has unit alternatives for."""
+    try:
+        order = graphlib.TopologicalSorter(units).static_order()
+        return {name: rank for rank, name in enumerate(order)}
+    except graphlib.CycleError as err:
+        raise CompileError(f"unit cycle {' -> '.join(err.args[1])}") from None
+
+
+class _Earley:
+    """Earley parse tables over the plain grammar of one model.
+
+    A position is a rule with a dot before one of its symbols. An item is a
+    position, its origin and its inside value: the derivation count, capped,
+    and the rule weight times the probability of the symbols before the dot,
+    carried as a mantissa and a binary exponent so that no sentence length
+    underflows. Scaling by powers of two is exact, so the result is the one
+    plain floats give wherever they do not underflow.
+    """
+
+    def __init__(self, cfg: ContextFreeGrammar):
+        grammar = _plain_grammar(cfg)
+        self.start = grammar.start
+        self.lhs: list[str] = []
+        # What the position waits on: a production name, or a terminal as
+        # its (_TERM, word) symbol so that the two cannot collide.
+        self.wants: list[object] = []
+        self.after: list[int] = []  # position past the next symbol; -1 completes
+        self.rules: dict[str, list[tuple[int, float]]] = {}  # first position, weight
+        self.starts_with: dict[str, set[str]] = {}  # word -> productions
+        self.left_parents: dict[str, set[str]] = {}  # production -> productions
+        self.starters: dict[str, set[str]] = {}  # word -> its FIRST set's owners
+        units: dict[str, list[str]] = {}
+        for name, alternatives in grammar.productions.items():
+            self.rules[name], units[name] = [], []
+            for symbols, weight in alternatives:
+                if not symbols:
+                    continue  # only a star over an empty-admitting body makes one
+                self.rules[name].append((len(self.lhs), weight))
+                for dot, (kind, value) in enumerate(symbols, start=1):
+                    self.lhs.append(name)
+                    self.wants.append(value if kind == _REF else (kind, value))
+                    self.after.append(len(self.lhs) if dot < len(symbols) else -1)
+                kind, value = symbols[0]
+                corner = self.starts_with if kind == _TERM else self.left_parents
+                corner.setdefault(value, set()).add(name)
+                if len(symbols) == 1 and kind == _REF:
+                    units[name].append(value)
+        self.rank = _unit_ranks(units)
+
+    def _column(self, k: int, items: dict, word: str, wanted: Iterable[str]) -> dict:
+        """Index column k's items by what they wait on, and predict the rules
+        whose FIRST set holds ``word``, the next one. Items waiting on a
+        production that cannot start with it are dropped."""
+        if word not in self.starters:
+            found, stack = set(), list(self.starts_with.get(word, ()))
+            while stack:
+                name = stack.pop()
+                if name not in found:
+                    found.add(name)
+                    stack.extend(self.left_parents.get(name, ()))
+            self.starters[word] = found
+        starters, scanned = self.starters[word], (_TERM, word)
+        waiting: dict[object, list[tuple]] = {}
+        for (pos, origin), value in items.items():
+            want = self.wants[pos]
+            if want == scanned or want in starters:
+                waiting.setdefault(want, []).append((pos, origin, *value))
+        stack = [name for name in dict.fromkeys([*waiting, *wanted]) if name in starters]
+        seen = set(stack)
+        while stack:
+            for pos, weight in self.rules[stack.pop()]:
+                want = self.wants[pos]
+                if want == scanned or want in starters:
+                    waiting.setdefault(want, []).append((pos, k, 1, weight, 0))
+                if want in starters and want not in seen:
+                    seen.add(want)
+                    stack.append(want)
+        return waiting
+
+    def parse(self, tokens: Sequence[str], cap: int) -> CfgParseResult:
+        n = len(tokens)
+        rejected = CfgParseResult(False, 0, float("-inf"))
+        lhs, after, rank = self.lhs, self.after, self.rank
+        items: dict[tuple[int, int], list] = {}
+        columns: list[dict] = []
+        for k in range(1, n + 1):
+            columns.append(self._column(k - 1, items, tokens[k - 1], () if columns else [self.start]))
+            if not columns[-1]:
+                return rejected
+            items = {}
+            # The word is a span (k - 1, k) ranked below every production.
+            done: dict[int, dict] = {k - 1: {(_TERM, tokens[k - 1]): [1, 1.0, 0]}}
+            # Narrowest span first: completing (i, k) adds only spans (o, k)
+            # with o < i, or with o == i through a unit alternative, whose
+            # production ranks above the one completed.
+            origins = [1 - k]
+            while origins:
+                i = -heapq.heappop(origins)
+                group = done[i]
+                names = [(rank.get(name, -1), name) for name in group]
+                heapq.heapify(names)
+                while names:
+                    name = heapq.heappop(names)[1]
+                    count, mantissa, exponent = group[name]
+                    for pos, origin, c, m, e in columns[i].get(name, ()):
+                        c = min(c * count, cap)
+                        m *= mantissa
+                        e += exponent
+                        if m < _TINY:
+                            m, shift = math.frexp(m)
+                            e += shift
+                        if after[pos] >= 0:
+                            if k < n:
+                                _add(items, (after[pos], origin), c, m, e, cap)
+                            continue
+                        mother = lhs[pos]
+                        target = done.get(origin)
+                        if target is None:
+                            target = done[origin] = {}
+                            heapq.heappush(origins, -origin)
+                        elif origin == i and mother not in target:
+                            heapq.heappush(names, (rank[mother], mother))
+                        _add(target, mother, c, m, e, cap)
+        value = done.get(0, {}).get(self.start) if n else None
+        if value is None:
+            return rejected
+        count, mantissa, exponent = value
+        return CfgParseResult(True, count, math.log2(mantissa) + exponent)
+
+
 def cfg_parse(
     cfg: ContextFreeGrammar, tokens: Sequence[str], count_cap: int = 10**6
 ) -> CfgParseResult:
     """Weighted recognition: derivation count and total inside probability.
 
-    Unknown tokens make the sentence out-of-language (an ordinary
-    rejection), which is the behavior perplexity's exclusion rule needs.
-    Probabilities are summed in ordinary float space — the intended
-    sentences are short — and reported in log2.
+    One Earley pass over the plain grammar gives both. Only rules whose
+    FIRST set holds the next word are predicted. The spans ending at a word
+    are completed by origin, narrowest first, and unit chains in
+    topological order; a unit cycle raises :class:`CompileError` (compiled
+    models have none, as left recursion is eliminated). Counts are capped at
+    every step, which gives min(true count, ``count_cap``). Probabilities
+    carry a binary exponent, so long sentences do not underflow; they are
+    reported in log2. Unknown tokens make the sentence out-of-language (an
+    ordinary rejection), which is the behavior perplexity's exclusion rule
+    needs.
     """
-    grammar = _plain_grammar(cfg)
-    tokens = tuple(tokens)
-    n = len(tokens)
-    if n == 0:
-        return CfgParseResult(False, 0, float("-inf"))
-    min_yield = _min_yields(grammar, n)
-
-    # Split each production into unit alternatives (a single reference,
-    # which can sit on the same span) and the rest (every symbol strictly
-    # narrower once split, so their sub-results are already settled).
-    unit_alts: dict[str, list[tuple[str, float]]] = {}
-    other_alts: dict[str, list[tuple[tuple[Symbol, ...], float]]] = {}
-    for name, alternatives in grammar.productions.items():
-        units, others = [], []
-        for symbols, weight in alternatives:
-            if len(symbols) == 1 and symbols[0][0] == _REF:
-                units.append((symbols[0][1], weight))
-            else:
-                others.append((symbols, weight))
-        unit_alts[name] = units
-        other_alts[name] = others
-
-    # inside[(i, j)][name] = (count, prob)
-    inside: dict[tuple[int, int], dict[str, tuple[int, float]]] = {}
-
-    def symbol_inside(symbol: Symbol, i: int, j: int) -> tuple[int, float]:
-        kind, value = symbol
-        if kind == _TERM:
-            if j - i == 1 and tokens[i] == value:
-                return 1, 1.0
-            return 0, 0.0
-        got = inside.get((i, j), {}).get(value)
-        return got if got is not None else (0, 0.0)
-
-    def alternative_inside(symbols: tuple[Symbol, ...], i: int, j: int) -> tuple[int, float]:
-        # Fold the symbol list left to right over all split points.
-        states: dict[int, tuple[int, float]] = {i: (1, 1.0)}
-        for idx, symbol in enumerate(symbols):
-            remaining = len(symbols) - idx - 1
-            next_states: dict[int, tuple[int, float]] = {}
-            for pos, (count, prob) in states.items():
-                for end in range(pos + 1, j - remaining + 1):
-                    sub_count, sub_prob = symbol_inside(symbol, pos, end)
-                    if sub_count == 0:
-                        continue
-                    have = next_states.get(end, (0, 0.0))
-                    next_states[end] = (
-                        min(have[0] + count * sub_count, count_cap),
-                        have[1] + prob * sub_prob,
-                    )
-            states = next_states
-            if not states:
-                return 0, 0.0
-        return states.get(j, (0, 0.0))
-
-    for width in range(1, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            base: dict[str, tuple[int, float]] = {}
-            for name in grammar.productions:
-                if min_yield.get(name, n + 1) > width:
-                    continue
-                count = 0
-                prob = 0.0
-                for symbols, weight in other_alts[name]:
-                    sub_count, sub_prob = alternative_inside(symbols, i, j)
-                    if sub_count:
-                        count = min(count + sub_count, count_cap)
-                        prob += weight * sub_prob
-                if count:
-                    base[name] = (count, prob)
-            cell = dict(base)
-            inside[(i, j)] = cell
-            # Unit closure: chains settle in at most chain-depth passes; a
-            # unit cycle would plateau at the count cap instead of looping.
-            for _ in range(len(grammar.productions) + 1):
-                changed = False
-                for name in grammar.productions:
-                    if not unit_alts[name]:
-                        continue
-                    count, prob = base.get(name, (0, 0.0))
-                    for ref, weight in unit_alts[name]:
-                        sub_count, sub_prob = cell.get(ref, (0, 0.0))
-                        if sub_count:
-                            count = min(count + sub_count, count_cap)
-                            prob += weight * sub_prob
-                    if count and cell.get(name) != (count, prob):
-                        cell[name] = (count, prob)
-                        changed = True
-                if not changed:
-                    break
-
-    count, prob = inside.get((0, n), {}).get(grammar.start, (0, 0.0))
-    if count == 0 or prob <= 0.0:
-        return CfgParseResult(False, 0, float("-inf"))
-    return CfgParseResult(True, count, math.log2(prob))
+    return _Earley(cfg).parse(tokens, count_cap)
 
 
 def cfg_enumerate(
-    cfg: ContextFreeGrammar, max_len: int, cap: int = 10**6
+    cfg: ContextFreeGrammar, max_len: int, cap: int = CAP_STRINGS
 ) -> set[tuple[str, ...]]:
     """All strings of length <= max_len in the grammar's language.
 
@@ -608,7 +680,7 @@ def cfg_enumerate(
 
 
 def pfsg_enumerate(
-    pfsgs: PfsgSet, max_len: int, cap: int = 10**6
+    pfsgs: PfsgSet, max_len: int, cap: int = CAP_STRINGS
 ) -> set[tuple[str, ...]]:
     """All strings of length <= max_len the graph set generates.
 
@@ -697,8 +769,9 @@ def perplexity(cfg: ContextFreeGrammar, corpus: Iterable[Sequence[str]]) -> Perp
     total_log2 = 0.0
     words = 0
     excluded: list[tuple[str, ...]] = []
+    parser = _Earley(cfg)
     for sentence in sentences:
-        result = cfg_parse(cfg, sentence)
+        result = parser.parse(sentence, 1)  # perplexity reads no derivation counts
         if not result.accepted:
             excluded.append(sentence)
             continue

@@ -1,6 +1,9 @@
 """Graph models: construction, normalization, metrics, parsing, perplexity."""
 
+import inspect
+import itertools
 import math
+import random
 
 import pytest
 from conftest import SHUTTLES, TOYS, compiled, grammar, metrics, pfsgs
@@ -14,7 +17,9 @@ from gramlm import (
     UndefinedPerplexityError,
     build_pfsg,
     cfg_enumerate,
+    cfg_from_text,
     cfg_parse,
+    compile_grammar,
     metrics_from_kv,
     metrics_to_kv,
     metrics_to_table,
@@ -22,8 +27,12 @@ from gramlm import (
     perplexity,
     pfsg_enumerate,
     pfsg_to_text,
+    wordplus_grammar,
 )
-from gramlm.cfg import Ref, Star, Term, alt, seq
+from gramlm.cfg import Alt, Ref, Star, Term, alt, seq
+from gramlm.cli import _build_parser
+from gramlm.errors import CAP_STRINGS
+from gramlm.grammar import surface_tokens
 from gramlm.pfsg import _category_of
 
 ALL_ASSETS = TOYS + SHUTTLES
@@ -113,11 +122,79 @@ def test_parse_agrees_with_oracle_on_every_short_string():
     cfg = compiled("rel_linked").cfg
     vocab = sorted({tok for entry in g.lexicon for tok in entry.surface})
     lang = oracle_enumerate(g, 3)
-    import itertools
-
     for n in range(1, 4):
         for tokens in itertools.product(vocab, repeat=n):
             assert cfg_parse(cfg, tokens).accepted == (tokens in lang), tokens
+
+
+# s -> e is a unit chain into e -> t; e -> e "+" e is directly left
+# recursive and ambiguous; t's star splits 0.5 stop / 0.5 continue.
+PARSE_CORNERS = cfg_from_text(
+    """
+    s -> e | e "." e ;
+    e -> e "+" e | t ;
+    t -> "n" ( "!" )* ;
+    """
+)
+# a covers "x y" both directly and through its unit daughter b, so b must
+# be finished before a is passed on to s.
+UNIT_AND_DIRECT = cfg_from_text('s -> a "z" ; a -> b | "x" "y" ; b -> "x" "y" ;')
+
+
+@pytest.mark.parametrize(
+    "cfg,sentence,count,log2_prob",
+    [
+        # s -> e -> t -> n: 0.5 * 0.5 * 0.5
+        (PARSE_CORNERS, "n", 1, -3.0),
+        # 0.5 (s -> e) * 0.5 (e -> e + e) * (0.5 * 0.25) (e -> t -> n !) * 0.25
+        (PARSE_CORNERS, "n ! + n", 1, -7.0),
+        # two bracketings, each 0.5 * 0.5^2 * 0.25^3
+        (PARSE_CORNERS, "n + n + n", 2, -8.0),
+        # two bracketings, each 0.5 * 0.5^2 * 0.125 * 0.25^2
+        (PARSE_CORNERS, "n ! + n + n", 2, -9.0),
+        # five bracketings (Catalan 3), each 0.5 * 0.5^3 * 0.25^4
+        (PARSE_CORNERS, "n + n + n + n", 5, math.log2(5) - 12),
+        # 2 * 2 derivations, each 0.5 (s -> e . e) * (0.5^2 * 0.25^3)^2
+        (PARSE_CORNERS, "n + n + n . n + n + n", 4, -15.0),
+        (UNIT_AND_DIRECT, "x y z", 2, 0.0),
+    ],
+)
+def test_parse_counts_and_scores_by_hand(cfg, sentence, count, log2_prob):
+    result = cfg_parse(cfg, sentence.split())
+    assert result.accepted
+    assert result.derivation_count == count
+    assert result.log2_prob == pytest.approx(log2_prob, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("cap,count", [(1, 1), (4, 4), (24, 24), (25, 25), (26, 25)])
+def test_count_cap_saturates_at_the_cap(cap, count):
+    """5 * 5 derivations: the last step multiplies two capped counts."""
+    result = cfg_parse(PARSE_CORNERS, "n + n + n + n . n + n + n + n".split(), count_cap=cap)
+    assert result.derivation_count == count
+    assert result.log2_prob == pytest.approx(math.log2(25) - 23, rel=1e-12)
+
+
+def test_unit_cycle_is_a_compile_error():
+    cfg = cfg_from_text('a -> b | "x" ; b -> a ;')
+    with pytest.raises(CompileError, match="unit cycle"):
+        cfg_parse(cfg, ["x"])
+
+
+def _shuttle_wordplus():
+    vocab = sorted(surface_tokens(grammar("shuttle_rels")))
+    return vocab, compile_grammar(wordplus_grammar(vocab)).cfg
+
+
+@pytest.mark.parametrize("n", [148, 149, 1000])
+def test_long_sentences_do_not_underflow(n):
+    """S -> W S | W splits 0.5/0.5 and W is uniform over V words, so n
+    words have log2 p = -n log2(2V); plain floats reach 0 at 148 words."""
+    vocab, cfg = _shuttle_wordplus()
+    rng = random.Random(n)
+    tokens = [rng.choice(vocab) for _ in range(n)]
+    result = cfg_parse(cfg, tokens)
+    assert result.accepted and result.derivation_count == 1
+    assert result.log2_prob == pytest.approx(-n * math.log2(2 * len(vocab)), rel=1e-9)
 
 
 # ---- metrics ----
@@ -199,6 +276,13 @@ def test_enumeration_cap_threshold_is_the_stored_count(name, max_len, model_cap,
         oracle_enumerate(grammar(name), max_len, cap=oracle_cap - 1)
 
 
+def test_library_string_caps_match_the_command_line():
+    check = _build_parser().parse_args(["check", "g.gram", "--max-len", "1"])
+    for enumerate_strings in (cfg_enumerate, pfsg_enumerate, oracle_enumerate):
+        assert inspect.signature(enumerate_strings).parameters["cap"].default == CAP_STRINGS
+    assert check.cap_strings == CAP_STRINGS
+
+
 # ---- model-side differential: cfg_enumerate against the naive graph walk ----
 
 _NAMES = ("n0", "n1", "n2", "n3")
@@ -231,6 +315,43 @@ def test_cfg_enumerate_matches_graph_walk_on_random_grammars(cfg, max_len):
     assert cfg_enumerate(cfg, max_len) == pfsg_enumerate(graphs, max_len)
 
 
+def _has_unit_cycle(cfg: ContextFreeGrammar) -> bool:
+    units = {
+        name: [o.name for o in (body.options if isinstance(body, Alt) else (body,)) if isinstance(o, Ref)]
+        for name, body in cfg.productions
+    }
+    for name in units:
+        seen, stack = set(), list(units[name])
+        while stack:
+            ref = stack.pop()
+            if ref == name:
+                return True
+            if ref not in seen:
+                seen.add(ref)
+                stack.extend(units[ref])
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_cfgs)
+def test_cfg_parse_matches_enumeration_on_random_grammars(cfg):
+    """Every string over {a, b} up to length 4: accepted exactly when
+    enumerated, and the accepted strings carry at most unit mass."""
+    if _has_unit_cycle(cfg):
+        with pytest.raises(CompileError):
+            cfg_parse(cfg, ["a"])
+        return
+    lang = cfg_enumerate(cfg, 4)
+    mass = 0.0
+    for n in range(1, 5):
+        for tokens in itertools.product("ab", repeat=n):
+            result = cfg_parse(cfg, tokens)
+            assert result.accepted == (tokens in lang), tokens
+            assert (result.derivation_count > 0) == result.accepted
+            mass += 2.0**result.log2_prob
+    assert mass <= 1 + 1e-9
+
+
 # ---- perplexity ----
 
 
@@ -261,3 +382,12 @@ def test_longer_sentences_average_per_word():
     three = perplexity(cfg, [["alpha", "bravo", "charlie"]])
     assert one.words == 1 and three.words == 3
     assert 3.0 < three.value <= one.value <= 6.0
+
+
+def test_long_sentence_counts_in_perplexity():
+    vocab, cfg = _shuttle_wordplus()
+    rng = random.Random(200)
+    tokens = [rng.choice(vocab) for _ in range(200)]
+    report = perplexity(cfg, [tokens])
+    assert report.excluded == [] and report.words == 200
+    assert report.value == pytest.approx(2 * len(vocab), rel=1e-9)
