@@ -87,7 +87,8 @@ def _add_cap_tuples(p: argparse.ArgumentParser) -> None:
         type=int,
         default=10**7,
         metavar="N",
-        help="abort instantiation beyond N candidate tuples (default: %(default)s)",
+        help="abort instantiation beyond N candidate tuples, and left-recursion "
+        "elimination beyond N substituted alternatives (default: %(default)s)",
     )
 
 

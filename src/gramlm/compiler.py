@@ -6,11 +6,12 @@ The pipeline has four stages:
 2. :func:`compute_instantiations` — per rule, the set of atomic value
    tuples over the rule's constrained slots that are both derivable
    bottom-up (supported) and reachable top-down from the start symbol
-   (demanded). Each rule's candidate tuples are enumerated once. A
-   candidate fires when every daughter projection is supported, which
-   supports its mother vectors; passes over the rules repeat until one adds
-   no vector. One demand closure from the start symbol then retains the
-   fired candidates it reaches.
+   (demanded). Each rule's candidate tuples are enumerated once, and each
+   waits on the daughter projection keys it needs with a count of those
+   still unsupported. The first vector supported under a key counts down
+   the candidates waiting on it; a candidate fires at zero, which supports
+   its mother vectors. One demand closure from the start symbol then
+   retains the fired candidates it reaches.
 3. :func:`merge_ranges` — greedily merge atomic tuples into rule instances
    carrying value *sets* per dimension, preserving an exact disjoint cover
    of the tuple set. A dimension merges only if its slots span at most one
@@ -25,7 +26,9 @@ The pipeline has four stages:
    is the load-bearing mechanism: a rectangle demanding one atomic value
    of a linked feature splits the daughters one way per instance, while a
    rectangle demanding the full range rides through a one-mother/one-
-   daughter link as a single alternative.
+   daughter link as a single alternative. A daughter rectangle is kept if
+   the projection table instantiation built for its fixed positions files
+   a supported vector under one of its keys.
 
 :func:`eliminate_left_recursion` and :func:`expansion_stats` round out the
 module.
@@ -36,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, seq
@@ -126,6 +130,9 @@ class Instantiations:
 
     per_rule: dict[str, InstantiationSet]
     supported: dict[str, frozenset[Vector]]
+    # Per symbol and per tuple of naming positions some rule fixes on it as
+    # a daughter: the supported vectors keyed by their values there.
+    tables: dict[str, dict[tuple[int, ...], dict[Vector, list[Vector]]]]
     index: _Index  # the lookup tables of the grammar they were computed for
 
 
@@ -225,42 +232,59 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     supported vector; firing supports every mother vector the candidate
     fixes, with the mother's free naming positions ranging over their
     domains. Support is seeded from the lexicon, and every vector is filed
-    at once in the projection tables of its symbol. Rules are visited in
-    order, and a vector added late in a pass can fire a candidate of a rule
-    visited earlier, so passes repeat until one adds nothing: four passes
-    on each shuttle grammar and three on ``tiny_agreement`` and
-    ``indirect_left``, the last adding nothing. Demand is then one worklist
-    closure from every supported start vector: a fired candidate is
-    retained iff its mother side equals a demanded vector, and retaining it
-    demands every supported vector matching its projection onto a daughter.
+    at once in the projection tables of its symbol.
+
+    Firing is counter-driven, as in linear-time Horn-clause closure
+    (Dowling & Gallier 1984): each candidate waits under every daughter
+    projection key it needs, with a count of the keys still missing. The
+    first vector filed under a key decrements the candidates waiting on it,
+    and a candidate fires when its count reaches zero, so no candidate is
+    tested twice. Demand is then one worklist closure from every supported
+    start vector: a fired candidate is retained iff its mother side equals
+    a demanded vector, and retaining it demands every supported vector
+    matching its projection onto a daughter. Each mother key and each
+    daughter key is expanded once.
 
     The cap counts lexicon vectors, candidates and derived vectors.
     """
     index = _Index(grammar)
     budget = cap_tuples
 
-    def spend() -> None:
+    def spend(amount: int = 1) -> None:
         nonlocal budget
-        budget -= 1
+        budget -= amount
         if budget < 0:
             raise ResourceCapError("instantiation tuples", cap_tuples)
 
     # Per symbol and per tuple of naming positions some rule fixes on it as
-    # a daughter: the supported vectors keyed by their values there.
+    # a daughter: the supported vectors keyed by their values there, and the
+    # candidates waiting for a first vector under a key.
     tables: dict[str, dict[tuple[int, ...], dict[Vector, list[Vector]]]] = {
         sym: {} for sym in index.symbols
     }
-    rule_dims: dict[str, tuple[DimSpec, ...]] = {}
-    plans: dict[str, tuple] = {}
-    pending: dict[str, list[Vector]] = {}
-    for rule in grammar.rules:
-        dims = index.rule_dims(rule)
-        rule_dims[rule.id] = dims
+    waiting: dict[str, dict[tuple[int, ...], dict[Vector, list[int]]]] = {
+        sym: {} for sym in index.symbols
+    }
+    # Per symbol and per tuple of naming positions some rule fixes on it as
+    # a mother: the fired candidates keyed by their values there, each as
+    # (rule number, values).
+    fired: dict[str, dict[tuple[int, ...], dict[Vector, list[tuple[int, Vector]]]]] = {
+        sym: {} for sym in index.symbols
+    }
+    rule_dims = [index.rule_dims(rule) for rule in grammar.rules]
+    plans: list[tuple] = []
+    rule_daughters: list[list[tuple]] = []
+    # Per candidate: its rule number, its values and its count of missing keys.
+    cand_rules: list[int] = []
+    cand_values: list[Vector] = []
+    missing: list[int] = []
+    for number, (rule, dims) in enumerate(zip(grammar.rules, rule_dims)):
         (mother_positions, mother_dims), *occurrences = index.slot_positions(rule, dims)
-        daughters = [
-            (cat.symbol, picks, tables[cat.symbol].setdefault(positions, {}))
-            for cat, (positions, picks) in zip(rule.daughters, occurrences)
-        ]
+        daughters = []
+        waits = []
+        for cat, (positions, picks) in zip(rule.daughters, occurrences):
+            daughters.append((cat.symbol, positions, picks, tables[cat.symbol].setdefault(positions, {})))
+            waits.append((picks, waiting[cat.symbol].setdefault(positions, {})))
         categories = (rule.mother, *rule.daughters)
         choices = []
         for dim in dims:
@@ -272,55 +296,62 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
                 choices.append(constraint.values)
             else:
                 choices.append(index.domains[slot.feature])
-        candidates = []
-        for values in product(*choices):
-            spend()
-            candidates.append(values)
-        pending[rule.id] = candidates
         free_spans = [
             index.domains[feature] for feature in index.naming_dims[rule.mother.symbol]
         ]
-        plans[rule.id] = (mother_positions, mother_dims, free_spans, {}, daughters)
+        groups = fired[rule.mother.symbol].setdefault(mother_positions, {})
+        plans.append((rule.mother.symbol, mother_positions, mother_dims, free_spans, groups))
+        rule_daughters.append(daughters)
+        spend(prod(len(choice) for choice in choices))
+        # Every key is missing: no vector is filed before the lexicon below.
+        for values in product(*choices):
+            cand = len(cand_values)
+            cand_rules.append(number)
+            cand_values.append(values)
+            missing.append(len(daughters))
+            for picks, wait in waits:
+                wait.setdefault(tuple(values[d] for d in picks), []).append(cand)
+    ready = [cand for cand, count in enumerate(missing) if not count]
 
     supported: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
 
-    def support(symbol: str, vec: Vector) -> bool:
+    def support(symbol: str, vec: Vector) -> None:
         if vec in supported[symbol]:
-            return False
+            return
         spend()
         supported[symbol].add(vec)
         for positions, table in tables[symbol].items():
-            table.setdefault(tuple(vec[p] for p in positions), []).append(vec)
-        return True
+            key = tuple(vec[p] for p in positions)
+            filed = table.get(key)
+            if filed is not None:
+                filed.append(vec)
+                continue
+            table[key] = [vec]
+            for cand in waiting[symbol][positions].pop(key, ()):
+                missing[cand] -= 1
+                if not missing[cand]:
+                    ready.append(cand)
 
     for entry in grammar.lexicon:
         for vec in _lex_vectors(index, entry.category):
             support(entry.category.symbol, vec)
 
     # Fire candidates, and group the fired ones by their mother-side values.
-    while True:
-        changed = False
-        for rule in grammar.rules:
-            mother_positions, mother_dims, free_spans, groups, daughters = plans[rule.id]
-            waiting = []
-            for values in pending[rule.id]:
-                if not all(
-                    tuple(values[d] for d in picks) in table for _, picks, table in daughters
-                ):
-                    waiting.append(values)
-                    continue
-                key = tuple(values[d] for d in mother_dims)
-                if key not in groups:
-                    groups[key] = []
-                    spans = list(free_spans)
-                    for pos, value in zip(mother_positions, key):
-                        spans[pos] = (value,)
-                    for vec in product(*spans):
-                        changed = support(rule.mother.symbol, vec) or changed
-                groups[key].append(values)
-            pending[rule.id] = waiting
-        if not changed:
-            break
+    while ready:
+        cand = ready.pop()
+        number = cand_rules[cand]
+        mother, mother_positions, mother_dims, free_spans, groups = plans[number]
+        values = cand_values[cand]
+        key = tuple(values[d] for d in mother_dims)
+        if key in groups:
+            groups[key].append((number, values))
+            continue
+        groups[key] = [(number, values)]
+        spans = list(free_spans)
+        for pos, value in zip(mother_positions, key):
+            spans[pos] = (value,)
+        for vec in product(*spans):
+            support(mother, vec)
 
     if not supported.get(grammar.start):
         raise CompileError(
@@ -330,37 +361,39 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     # Demand pass: walk supported vectors top-down from the start symbol.
     demanded: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
     demanded[grammar.start] = set(supported[grammar.start])
-    worklist: list[tuple[str, Vector]] = [(grammar.start, v) for v in sorted(demanded[grammar.start])]
-    retained: dict[str, set[Vector]] = {rule.id: set() for rule in grammar.rules}
+    worklist: list[tuple[str, Vector]] = [(grammar.start, v) for v in demanded[grammar.start]]
+    retained: list[list[Vector]] = [[] for _ in grammar.rules]
+    expanded: set[tuple[str, tuple[int, ...], Vector]] = set()
+    opened: set[tuple[str, tuple[int, ...], Vector]] = set()
     while worklist:
         symbol, vec = worklist.pop()
-        for rule in index.rules_by_mother.get(symbol, ()):
-            mother_positions, _, _, groups, daughters = plans[rule.id]
-            kept = retained[rule.id]
-            for values in groups.get(tuple(vec[p] for p in mother_positions), ()):
-                if values in kept:
-                    continue
-                kept.add(values)
-                for daughter, picks, table in daughters:
+        for positions, groups in fired[symbol].items():
+            key = tuple(vec[p] for p in positions)
+            if (symbol, positions, key) in expanded:
+                continue
+            expanded.add((symbol, positions, key))
+            for number, values in groups.get(key, ()):
+                retained[number].append(values)
+                for daughter, daughter_positions, picks, table in rule_daughters[number]:
+                    dkey = tuple(values[d] for d in picks)
+                    if (daughter, daughter_positions, dkey) in opened:
+                        continue
+                    opened.add((daughter, daughter_positions, dkey))
                     seen = demanded[daughter]
-                    for dvec in table[tuple(values[d] for d in picks)]:
+                    for dvec in table[dkey]:
                         if dvec not in seen:
                             seen.add(dvec)
                             worklist.append((daughter, dvec))
 
-    def tuple_key(rule: Rule):
-        domains = [index.value_index[dim.slots[0].feature] for dim in rule_dims[rule.id]]
-        return lambda values: tuple(dom[v] for dom, v in zip(domains, values))
-
-    per_rule = {
-        rule.id: InstantiationSet(
-            rule.id, rule_dims[rule.id], tuple(sorted(retained[rule.id], key=tuple_key(rule)))
-        )
-        for rule in grammar.rules
-    }
+    per_rule = {}
+    for rule, dims, tuples in zip(grammar.rules, rule_dims, retained):
+        domains = [index.value_index[dim.slots[0].feature] for dim in dims]
+        tuples.sort(key=lambda values: tuple(dom[v] for dom, v in zip(domains, values)))
+        per_rule[rule.id] = InstantiationSet(rule.id, dims, tuple(tuples))
     return Instantiations(
         per_rule,
         {sym: frozenset(vectors) for sym, vectors in supported.items()},
+        tables,
         index,
     )
 
@@ -368,51 +401,45 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
 def merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance, ...]:
     """Greedily merge atomic tuples into disjoint rectangles of value sets.
 
-    Dimensions are scanned in their canonical (feature declaration, slot)
-    order; instances agreeing everywhere except the scanned dimension merge
-    by unioning that dimension's sets. The result partitions the input
+    Instances agreeing everywhere except one mergeable dimension merge by
+    unioning that dimension's sets; the dimensions are taken in turn until
+    a round over them merges nothing. The result partitions the input
     tuple set exactly: merging never invents a tuple (instances in a merge
     bucket are identical off-dimension) and never drops one (every tuple
-    starts as a singleton instance).
+    starts as a singleton instance). The merged set does not depend on the
+    order instances are visited in, and the result is sorted in the
+    (feature declaration, domain) order of its value sets.
+
+    Values are coded once as domain indices, each set as a bit mask, and
+    decoded at the end.
     """
-    order = {d.name: {v: i for i, v in enumerate(d.values)} for d in grammar.features}
-    domains = [order[dim.slots[0].feature] for dim in inst.dims]
-    instances: list[tuple[tuple[str, ...], ...]] = [
-        tuple((value,) for value in values) for values in inst.tuples
-    ]
+    decls = {d.name: d.values for d in grammar.features}
+    domains = [decls[dim.slots[0].feature] for dim in inst.dims]
+    codes = [{v: 1 << i for i, v in enumerate(domain)} for domain in domains]
+    mergeable = [d_idx for d_idx, dim in enumerate(inst.dims) if dim.mergeable]
+    instances = [tuple(code[v] for code, v in zip(codes, values)) for values in inst.tuples]
     while True:
         before = len(instances)
-        for d_idx, dim in enumerate(inst.dims):
-            if not dim.mergeable:
-                continue
-            buckets: dict[tuple, list[tuple[str, ...]]] = {}
-            keys: list[tuple] = []
-            for values in sorted(
-                instances,
-                key=lambda vs: tuple(
-                    tuple(dom[v] for v in span) for dom, span in zip(domains, vs)
-                ),
-            ):
-                key = tuple(span for i, span in enumerate(values) if i != d_idx)
-                if key not in buckets:
-                    buckets[key] = []
-                    keys.append(key)
-                buckets[key].append(values[d_idx])
-            merged: list[tuple[tuple[str, ...], ...]] = []
-            for key in keys:
-                union = sorted(
-                    {v for span in buckets[key] for v in span}, key=domains[d_idx].__getitem__
-                )
-                rebuilt = list(key)
-                rebuilt.insert(d_idx, tuple(union))
-                merged.append(tuple(rebuilt))
-            instances = merged
+        for d_idx in mergeable:
+            buckets: dict[tuple[int, ...], int] = {}
+            for masks in instances:
+                key = masks[:d_idx] + masks[d_idx + 1 :]
+                buckets[key] = buckets.get(key, 0) | masks[d_idx]
+            instances = [key[:d_idx] + (mask,) + key[d_idx:] for key, mask in buckets.items()]
         if len(instances) == before:
             break
-    instances.sort(
-        key=lambda vs: tuple(tuple(dom[v] for v in span) for dom, span in zip(domains, vs))
+    indexed = sorted(
+        tuple(tuple(i for i in range(len(domain)) if mask >> i & 1) for domain, mask in zip(domains, masks))
+        for masks in instances
     )
-    return tuple(RuleInstance(inst.rule_id, inst.dims, values) for values in instances)
+    return tuple(
+        RuleInstance(
+            inst.rule_id,
+            inst.dims,
+            tuple(tuple(domain[i] for i in span) for domain, span in zip(domains, spans)),
+        )
+        for spans in indexed
+    )
 
 
 def merge_all(grammar: Grammar, inst: Instantiations) -> dict[str, tuple[RuleInstance, ...]]:
@@ -440,51 +467,37 @@ def emit_cfg(
         merged = merge_all(grammar, inst)
     index = inst.index
     supported = inst.supported
-    daughter_slots = {
-        rule.id: index.slot_positions(rule, inst.per_rule[rule.id].dims)[1:] for rule in grammar.rules
-    }
-
-    # Per-dimension projections of the supported vectors, for canonicalizing.
-    projections: dict[str, tuple[tuple[str, ...], ...]] = {}
-    for symbol in index.symbols:
-        dims = index.naming_dims[symbol]
-        spans = []
-        for pos, feature in enumerate(dims):
-            values = {vec[pos] for vec in supported[symbol]}
-            spans.append(
-                tuple(sorted(values, key=index.value_index[feature].__getitem__))
-            )
-        projections[symbol] = tuple(spans)
-
-    def canon_rect(symbol: str, spans: Sequence[Iterable[str]]) -> Optional[tuple[tuple[str, ...], ...]]:
-        dims = index.naming_dims[symbol]
-        out = []
-        for pos, feature in enumerate(dims):
-            span = tuple(
-                sorted(
-                    set(spans[pos]) & set(projections[symbol][pos]),
-                    key=index.value_index[feature].__getitem__,
-                )
-            )
-            if not span:
-                return None
-            out.append(span)
-        return tuple(out)
-
-    support_memo: dict[tuple[str, tuple], bool] = {}
-
-    def rect_supported(symbol: str, spans: tuple[tuple[str, ...], ...]) -> bool:
-        """Does any supported vector of ``symbol`` fall inside the rectangle?"""
-        key = (symbol, spans)
-        if key not in support_memo:
-            support_memo[key] = any(
-                all(v in span for v, span in zip(vec, spans)) for vec in supported[symbol]
-            )
-        return support_memo[key]
-
-    start_spans = canon_rect(grammar.start, projections[grammar.start])
-    if start_spans is None or not rect_supported(grammar.start, start_spans):
+    if not supported.get(grammar.start):
         raise CompileError(f"start symbol {grammar.start!r} has no supported instantiations")
+
+    # Per-position projections of the supported vectors, in domain order;
+    # an unrestricted position of a rectangle spans its projection.
+    projections: dict[str, tuple[tuple[str, ...], ...]] = {}
+    projected: dict[str, list[set[str]]] = {}
+    for symbol in index.symbols:
+        spans = []
+        for pos, feature in enumerate(index.naming_dims[symbol]):
+            values = {vec[pos] for vec in supported[symbol]}
+            spans.append(tuple(v for v in index.domains[feature] if v in values))
+        projections[symbol] = tuple(spans)
+        projected[symbol] = [set(span) for span in spans]
+
+    # Per rule: the mother naming positions linked to each dimension, and per
+    # daughter the positions a tuple fixes there, the dimensions fixing them
+    # and the daughter's projection table on those positions.
+    plans: dict[str, tuple] = {}
+    for rule in grammar.rules:
+        (mother_positions, mother_dims), *occurrences = index.slot_positions(
+            rule, inst.per_rule[rule.id].dims
+        )
+        links: dict[int, list[int]] = {}
+        for pos, d_idx in zip(mother_positions, mother_dims):
+            links.setdefault(d_idx, []).append(pos)
+        daughters = [
+            (cat.symbol, positions, picks, inst.tables[cat.symbol][positions])
+            for cat, (positions, picks) in zip(rule.daughters, occurrences)
+        ]
+        plans[rule.id] = (tuple(links.items()), daughters)
 
     names: dict[tuple[str, tuple], str] = {}
     queue: list[tuple[str, tuple[tuple[str, ...], ...]]] = []
@@ -496,48 +509,59 @@ def emit_cfg(
             queue.append(key)
         return names[key]
 
-    discover(grammar.start, start_spans)
+    def child_ref(restricted: Sequence[tuple[str, ...]], daughter: tuple) -> Optional[Ref]:
+        """The daughter's rectangle under a restricted instance, if some
+        supported vector falls inside it."""
+        symbol, positions, picks, table = daughter
+        spans = list(projections[symbol])
+        for pos, d_idx in zip(positions, picks):
+            spans[pos] = tuple(filter(projected[symbol][pos].__contains__, restricted[d_idx]))
+        # The unfixed positions span their projections, so the rectangle holds
+        # a supported vector iff the table files one under a fixed-position key.
+        if not any(key in table for key in product(*(spans[pos] for pos in positions))):
+            return None
+        return Ref(discover(symbol, tuple(spans)))
+
+    discover(grammar.start, projections[grammar.start])
     productions: list[tuple[str, Expr]] = []
     cursor = 0
     while cursor < len(queue):
         symbol, spans = queue[cursor]
         cursor += 1
-        rect = dict(zip(index.naming_dims[symbol], spans))
+        rect = [set(span) for span in spans]
         alternatives: list[Expr] = []
         for rule in index.rules_by_mother.get(symbol, ()):
+            links, daughters = plans[rule.id]
             for instance in merged[rule.id]:
-                restricted = _restrict_instance(instance, rect)
-                if restricted is None:
-                    continue
-                refs: list[Expr] = []
-                for daughter, (positions, picks) in zip(rule.daughters, daughter_slots[rule.id]):
-                    child_spans = list(projections[daughter.symbol])
-                    for pos, d_idx in zip(positions, picks):
-                        child_spans[pos] = restricted[d_idx]
-                    child = canon_rect(daughter.symbol, child_spans)
-                    if child is None or not rect_supported(daughter.symbol, child):
-                        refs = []
+                # Restrict the mother-linked dimensions by the rectangle.
+                restricted = list(instance.values)
+                for d_idx, positions in links:
+                    for pos in positions:
+                        restricted[d_idx] = tuple(filter(rect[pos].__contains__, restricted[d_idx]))
+                    if not restricted[d_idx]:
                         break
-                    refs.append(Ref(discover(daughter.symbol, child)))
-                if refs:
-                    alternatives.append(seq(refs))
+                else:
+                    refs = []
+                    for daughter in daughters:
+                        ref = child_ref(restricted, daughter)
+                        if ref is None:
+                            break
+                        refs.append(ref)
+                    else:
+                        alternatives.append(seq(refs))
+        positions = index.positions[symbol]
         for entry in index.lex_by_symbol.get(symbol, ()):
-            constraint = dict(entry.category.constraints)
-            ok = True
-            for feature, span in rect.items():
-                value = constraint.get(feature)
-                if isinstance(value, Atom) and value.value not in span:
-                    ok = False
-                elif isinstance(value, Subset) and not set(value.values) & set(span):
-                    ok = False
-            if ok:
+            for feature, value in entry.category.constraints:
+                pos = positions.get(feature)
+                if pos is None:
+                    continue
+                if isinstance(value, Atom) and value.value not in rect[pos]:
+                    break
+                if isinstance(value, Subset) and rect[pos].isdisjoint(value.values):
+                    break
+            else:
                 alternatives.append(seq([Term(tok) for tok in entry.surface]))
-        unique: list[Expr] = []
-        seen: set[Expr] = set()
-        for alternative in alternatives:
-            if alternative not in seen:
-                seen.add(alternative)
-                unique.append(alternative)
+        unique = list(dict.fromkeys(alternatives))
         if not unique:
             raise CompileError(
                 f"demanded nonterminal {names[(symbol, spans)]!r} has no alternatives"
@@ -547,22 +571,6 @@ def emit_cfg(
     if len(set(names.values())) != len(names):
         raise CompileError("rectangle naming collision")
     return ContextFreeGrammar(productions[0][0], tuple(productions))
-
-
-def _restrict_instance(
-    instance: RuleInstance, rect: Mapping[str, Sequence[str]]
-) -> Optional[tuple[tuple[str, ...], ...]]:
-    """Intersect an instance's mother-linked dimensions with a rectangle."""
-    out = []
-    for dim, span in zip(instance.dims, instance.values):
-        allowed = set(span)
-        for slot in dim.slots:
-            if slot.occ == 0:
-                allowed &= set(rect[slot.feature])
-        if not allowed:
-            return None
-        out.append(tuple(v for v in span if v in allowed))
-    return tuple(out)
 
 
 def _leftmost_refs(expr: Expr) -> tuple[set[str], bool]:
@@ -664,7 +672,7 @@ def _flatten_alternatives(expr: Expr) -> Optional[list[list[Expr]]]:
     return out
 
 
-def eliminate_left_recursion(cfg: ContextFreeGrammar) -> ContextFreeGrammar:
+def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = 10**7) -> ContextFreeGrammar:
     """Rewrite left-recursive productions using trailing repetition.
 
     Direct recursion ``A -> A a1 | .. | A ak | b1 | .. | bm`` becomes
@@ -675,7 +683,12 @@ def eliminate_left_recursion(cfg: ContextFreeGrammar) -> ContextFreeGrammar:
     leftmost-reference graph is already acyclic are returned unchanged
     (the same object). A starred body taking part in a cycle is not
     supported and raises :class:`CompileError`.
+
+    Substitution can multiply alternatives exponentially (Moore 2000), so
+    every alternative it produces is charged to ``cap``; beyond it
+    :class:`ResourceCapError` is raised.
     """
+    budget = cap
     order = [name for name, _ in cfg.productions]
     bodies = {name: expr for name, expr in cfg.productions}
     edges = {name: _leftmost_refs(expr)[0] for name, expr in cfg.productions}
@@ -705,6 +718,9 @@ def eliminate_left_recursion(cfg: ContextFreeGrammar) -> ContextFreeGrammar:
                     for option in flat[name]:
                         if option and isinstance(option[0], Ref) and option[0].name == earlier:
                             hit = True
+                            budget -= len(flat[earlier])
+                            if budget < 0:
+                                raise ResourceCapError("left-recursion alternatives", cap)
                             for replacement in flat[earlier]:
                                 expanded.append(replacement + option[1:])
                         else:
@@ -807,10 +823,14 @@ def compile_grammar(
     features: Union[str, Iterable[str]] = "syntactic",
     cap_tuples: int = 10**7,
 ) -> CompileResult:
-    """Run the whole pipeline on an (already variant-transformed) grammar."""
+    """Run the whole pipeline on an (already variant-transformed) grammar.
+
+    ``cap_tuples`` caps instantiation and, as a separate budget, the
+    alternatives left-recursion elimination substitutes.
+    """
     stripped = strip_features(grammar, features)
     inst = compute_instantiations(stripped, cap_tuples=cap_tuples)
     merged = merge_all(stripped, inst)
     cfg_raw = emit_cfg(stripped, inst, merged)
-    cfg = eliminate_left_recursion(cfg_raw)
+    cfg = eliminate_left_recursion(cfg_raw, cap=cap_tuples)
     return CompileResult(stripped, inst, merged, cfg_raw, cfg, expansion_stats(stripped, merged))

@@ -195,3 +195,18 @@ def test_unsupported_start_symbol_is_a_usage_error(tmp_path):
 def test_no_subcommand_is_a_usage_error():
     r = run()
     assert r.returncode == 1
+
+
+def test_compile_caps_left_recursion_blowup(tmp_path):
+    # A leftmost cycle A1 -> A6 -> A5 .. -> A1 with ten alternatives per
+    # member: eliminating it substitutes about 10^6 alternatives.
+    lines = ["start A1", "rule base: A1 -> B", 'lex "b": B']
+    for j in range(10):
+        lines.append(f'lex "t{j}": T{j}')
+        for i in range(1, 7):
+            lines.append(f"rule a{i}_{j}: A{i} -> A{6 if i == 1 else i - 1} T{j}")
+    path = tmp_path / "cycle.gram"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    r = run("compile", path, "--out", tmp_path / "out", "--cap-tuples", "1000", timeout=60)
+    assert r.returncode == 3
+    assert "left-recursion alternatives exceeded the configured cap of 1000" in r.stderr

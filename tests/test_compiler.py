@@ -1,9 +1,12 @@
 """Compile pipeline: stripping, instantiation, merging, emission, elimination."""
 
 import itertools
+import time
 
 import pytest
 from conftest import SHUTTLES, TOYS, compiled, grammar, leftmost_cycle_free
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramlm import (
     CompileError,
@@ -20,6 +23,7 @@ from gramlm import (
     parse_grammar_file,
     strip_features,
 )
+from gramlm.cfg import ContextFreeGrammar, Ref, Term, alt, seq
 from gramlm.compiler import _Index, rect_name
 from gramlm.grammar import constrained_features
 
@@ -323,6 +327,107 @@ def test_no_compiled_grammar_has_a_leftmost_cycle(name):
 def test_elimination_is_idempotent():
     cfg = compiled("direct_left").cfg
     assert eliminate_left_recursion(cfg) == cfg
+
+
+def left_cycle(k: int, m: int) -> ContextFreeGrammar:
+    """A leftmost cycle a1 -> ak, ak -> a(k-1), .., a2 -> a1 of k members,
+    each with m alternatives, plus one base alternative on a1. Substituting
+    earlier members leaves a(i) with m^(i-1)·(m+1) alternatives."""
+    productions = []
+    for i in range(1, k + 1):
+        head = Ref(f"a{k}" if i == 1 else f"a{i - 1}")
+        options = [seq([head, Term(f"t{j}")]) for j in range(m)]
+        if i == 1:
+            options.append(Term("b"))
+        productions.append((f"a{i}", alt(options)))
+    return ContextFreeGrammar("a1", tuple(productions))
+
+
+def test_elimination_cap_counts_substituted_alternatives():
+    # a2 gets 2·3 alternatives and a3 2·6: 18 in all
+    cfg = left_cycle(3, 2)
+    assert leftmost_cycle_free(eliminate_left_recursion(cfg, cap=18))
+    with pytest.raises(ResourceCapError, match="left-recursion alternatives"):
+        eliminate_left_recursion(cfg, cap=17)
+
+
+def test_elimination_blowup_hits_the_cap_quickly():
+    # 10^6 alternatives uncapped
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="cap of 1000"):
+        eliminate_left_recursion(left_cycle(6, 10), cap=1000)
+    assert time.perf_counter() - started < 1.0
+
+
+# ---- random feature grammars against the oracle ----
+
+_FEATURES = ("f", "g", "h")
+_VALUES = ("v0", "v1", "v2")
+
+
+@st.composite
+def _feature_grammars(draw) -> str:
+    """Grammar text over 1-3 features sharing one domain. Constraints are
+    atoms, subsets or the variables X and Y, so variables link mother and
+    daughters, repeat on one category, and link different features. Rule
+    daughters range over every symbol, so direct and indirect left
+    recursion occur."""
+    features = _FEATURES[: draw(st.integers(min_value=1, max_value=3))]
+    domain = _VALUES[: draw(st.integers(min_value=2, max_value=3))]
+
+    def category(symbol: str, lexical: bool) -> str:
+        kinds = ("none", "none", "atom", "subset") + (() if lexical else ("var", "var"))
+        parts = []
+        for feature in features:
+            kind = draw(st.sampled_from(kinds))
+            if kind == "atom":
+                parts.append(f"{feature}={draw(st.sampled_from(domain))}")
+            elif kind == "subset":
+                values = draw(st.lists(st.sampled_from(domain), min_size=1, max_size=2, unique=True))
+                parts.append(f"{feature}={{{', '.join(values)}}}")
+            elif kind == "var":
+                parts.append(f"{feature}={draw(st.sampled_from(('X', 'Y')))}")
+        return f"{symbol}:[{', '.join(parts)}]" if parts else symbol
+
+    lines = [f"feature {f} syn {{{', '.join(domain)}}}" for f in features]
+    lines.append("start S")
+    number = 0
+    for mother in ("S", "A", "B"):
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            daughters = [
+                category(draw(st.sampled_from(("S", "A", "B", "C"))), lexical=False)
+                for _ in range(draw(st.sampled_from((1, 2, 2))))
+            ]
+            lines.append(f"rule r{number}: {category(mother, lexical=False)} -> {' '.join(daughters)}")
+            number += 1
+    for i, symbol in enumerate(("A", "B", "C") * draw(st.sampled_from((1, 2)))):
+        # A word of its own per entry, so that a wrong feature value shows
+        # in the strings; sometimes a two-word lexeme.
+        surface = f"w{i}" + draw(st.sampled_from(("", "", " x")))
+        lines.append(f'lex "{surface}": {category(symbol, lexical=True)}')
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_feature_grammars())
+def test_random_feature_grammars_compile_to_the_oracle_language(text):
+    """Compiling raises only CompileError or ResourceCapError, is
+    byte-deterministic, and yields the oracle's language up to length 4."""
+    g = parse_grammar(text)
+    try:
+        first = compile_grammar(g, cap_tuples=10**4)
+    except ResourceCapError:
+        return
+    except CompileError as err:
+        # The only two a correct compile can raise on these grammars.
+        if "no supported instantiations" in str(err):
+            assert not oracle_enumerate(g, 4)
+        else:
+            assert "cyclic unit production" in str(err)
+        return
+    second = compile_grammar(g, cap_tuples=10**4)
+    assert cfg_to_text(first.cfg) == cfg_to_text(second.cfg)
+    assert cfg_enumerate(first.cfg, 4) == oracle_enumerate(g, 4)
 
 
 # ---- determinism ----

@@ -1,15 +1,29 @@
-"""Golden bytes: the artifacts `gramlm compile --out` writes for every asset.
+"""Golden bytes: the artifacts `gramlm compile --out` writes for every asset
+and for the variants of the shuttle grammars the compile benchmark builds.
 
-The digests were recorded before the instantiation stage was indexed; a
-refactor of the compiler must leave every byte of every artifact as it was.
+The asset digests were recorded before the instantiation stage was indexed,
+and the variant digests before instantiation, merging and emission were
+rewritten to do each piece of work once; a refactor of the compiler must
+leave every byte of every artifact as it was.
 """
 
 import hashlib
 
 import pytest
-from conftest import SHUTTLES, TOYS, compiled, metrics, pfsgs
+from conftest import SHUTTLES, TOYS, compiled, grammar, pfsgs
 
-from gramlm import cfg_to_text, metrics_to_kv, pfsg_to_text
+from gramlm import (
+    build_pfsg,
+    cfg_to_text,
+    compile_grammar,
+    k_words_per_category,
+    measure,
+    metrics_to_kv,
+    pfsg_to_text,
+    unlink_features,
+    wordplus_grammar,
+)
+from gramlm.grammar import surface_tokens
 
 GOLDEN = {
     "direct_left": {
@@ -70,16 +84,80 @@ GOLDEN = {
 }
 
 
+# The variants the compile benchmark builds from the shuttle grammars.
+VARIANTS = {
+    **{
+        f"{name}.k{k}": lambda name=name, k=k: k_words_per_category(grammar(name), k)
+        for name in SHUTTLES
+        for k in (1, 2)
+    },
+    "shuttle_rels.unlink": lambda: unlink_features(grammar("shuttle_rels"), "rel_mod", ["agr", "sort"]),
+    "shuttle_rels.wordplus": lambda: wordplus_grammar(sorted(surface_tokens(grammar("shuttle_rels")))),
+}
+
+VARIANT_GOLDEN = {
+    "shuttle_no_rels.k1": {
+        "grammar.cfg": "bd4b6606823746d31f2d9659e4143694c159c98901dc09a1a73f5856f5835a10",
+        "grammar.pfsg": "d46d5b34a65ae182b1e74011c000aa7c1c4298e7aca0f5df4686f1c7bc161a71",
+        "metrics.kv": "a2e49a392d00194292fcefc73d321bbbc5ff9d66ddaaa2a93c3b0af1fc6ce7d2",
+    },
+    "shuttle_no_rels.k2": {
+        "grammar.cfg": "b747ca0c0108cae5048a25f552291a9e25e5b3d6ea7fcbf9df6a004e15d78b44",
+        "grammar.pfsg": "c24a1de64bda7eb6b1bc510fc8aeda9f530430d8b86eaf3f9bdbadc1a3c1e4a3",
+        "metrics.kv": "e8e32a812e3d663b32bea8555d270e9f8b5581f93dc0f3e9e5d4121226114035",
+    },
+    "shuttle_rels.k1": {
+        "grammar.cfg": "9c0f95bc93d244c540e3740e413d3838655d8ab042bf93b9f99e0564a7c03805",
+        "grammar.pfsg": "5ca8c8aaec3b56744ae9b5f1e1a900dd88569cf51113a7091919480e4f56034f",
+        "metrics.kv": "abd5f2a39cc4a5b0c1a62b8fffba17b2b7bb2f571ef2992dc60450a64f37d38b",
+    },
+    "shuttle_rels.k2": {
+        "grammar.cfg": "9cc7f466eed0c342e7430b939c9f65e1a8b74cb65dc3830461a22114b69f2ead",
+        "grammar.pfsg": "cf02e9059cc335821e4c3f9cd975874a70eac2e86cc609a90158b97c4e4f5400",
+        "metrics.kv": "4ea9351b506b471fc29e8bad8a541efbb4a5c9a2c11721082ee037bb37436c50",
+    },
+    "shuttle_unlinked.k1": {
+        "grammar.cfg": "dedaada1d4702a6c06d7a3b1041af5b89e3200eb4f4a6d72964f0d86868a3932",
+        "grammar.pfsg": "4e1979f79c1806e025251d1bb5a31182b4aac8bcefa056b064dcafbb7e6f20c4",
+        "metrics.kv": "e2f0c446bb10b278d04cd31bd887b31e987c40aaf8825222061bed9f4e7cdbc6",
+    },
+    "shuttle_unlinked.k2": {
+        "grammar.cfg": "1a00671215ccdbf45c08796ca915962e80c05ddc8b8107c3f6f78bb18ed44858",
+        "grammar.pfsg": "a602c22b8f23f9916c64d57e3190ca091d0b25879bcfd65206b8af4a408940b6",
+        "metrics.kv": "78ac9affba9d97ea946eeb252ae1be1a0cce9947187712e0c3f87e7dfce63532",
+    },
+    "shuttle_rels.unlink": {
+        "grammar.cfg": "b7bff29f9d1d4d6bbda8e5f964ea9ea96b1ac4921077fd63e113c7c96d6da97e",
+        "grammar.pfsg": "78563792ddfa7246cb7bd6db0010adef6fa194fd8a5902a66fb0d0e6e9ed47bf",
+        "metrics.kv": "a94a721fbfe72f87134a47d632fa29f8c57d8d0b284185e6247c95daf7809e32",
+    },
+    "shuttle_rels.wordplus": {
+        "grammar.cfg": "059867ad00014566a47b543293597e229918d02bc1ca073de3d08168ec54957e",
+        "grammar.pfsg": "9d5d33e47f928816e2537e738879c52faf04e6bbf445d27458f1332c1280449e",
+        "metrics.kv": "6bb9ddefb52005f8bebd0b1d849ecb35b4bedf861a37de0651512ea7aff3ea6f",
+    },
+}
+
+
 def test_golden_covers_every_asset():
     assert sorted(GOLDEN) == sorted(TOYS + SHUTTLES)
 
 
+def _digests(cfg, graphs) -> dict[str, str]:
+    texts = {
+        "grammar.cfg": cfg_to_text(cfg),
+        "grammar.pfsg": pfsg_to_text(graphs),
+        "metrics.kv": metrics_to_kv(measure(graphs)),
+    }
+    return {key: hashlib.sha256(text.encode("utf-8")).hexdigest() for key, text in texts.items()}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_are_byte_identical(name):
-    texts = {
-        "grammar.cfg": cfg_to_text(compiled(name).cfg),
-        "grammar.pfsg": pfsg_to_text(pfsgs(name)),
-        "metrics.kv": metrics_to_kv(metrics(name)),
-    }
-    digests = {key: hashlib.sha256(text.encode("utf-8")).hexdigest() for key, text in texts.items()}
-    assert digests == GOLDEN[name]
+    assert _digests(compiled(name).cfg, pfsgs(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_variant_artifacts_are_byte_identical(name):
+    cfg = compile_grammar(VARIANTS[name]()).cfg
+    assert _digests(cfg, build_pfsg(cfg)) == VARIANT_GOLDEN[name]
