@@ -16,6 +16,7 @@ saturate at ``count_cap`` instead.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -28,6 +29,11 @@ FREE = None
 # A feature map assigns each relevant feature of a symbol either a concrete
 # value or FREE; maps are tuples aligned with the symbol's feature list.
 FMap = tuple  # tuple[Optional[str], ...]
+
+# A daughter category prepared for matching: its symbol and its visible
+# constraints, each as (slot in the symbol's feature map, the values an atom
+# or subset allows or None, a variable's name or None).
+Pattern = tuple  # tuple[str, tuple[tuple[int, Optional[frozenset], Optional[str]], ...]]
 
 
 @dataclass(frozen=True)
@@ -63,15 +69,23 @@ class _Analyzer:
                 feats = tuple(f for f in feats if f in visible)
             self.relevant[symbol] = feats
         self.visible = visible
+        self.patterns: dict[str, list[Pattern]] = {
+            rule.id: [self._pattern(d) for d in rule.daughters] for rule in grammar.rules
+        }
+        self.mothers = {rule.id: self._mother_plan(rule) for rule in grammar.rules}
 
-    def _visible_constraints(self, cat: Category) -> list[tuple[int, object]]:
-        feats = self.relevant[cat.symbol]
-        index = {f: i for i, f in enumerate(feats)}
-        out = []
+    def _pattern(self, cat: Category) -> Pattern:
+        index = {f: i for i, f in enumerate(self.relevant[cat.symbol])}
+        constraints = []
         for feature, value in cat.constraints:
-            if feature in index:
-                out.append((index[feature], value))
-        return out
+            if feature not in index:
+                continue
+            if isinstance(value, Var):
+                constraints.append((index[feature], None, value.name))
+            else:
+                allowed = (value.value,) if isinstance(value, Atom) else value.values
+                constraints.append((index[feature], frozenset(allowed), None))
+        return cat.symbol, tuple(constraints)
 
     def lexical_items(self, cat: Category) -> list[FMap]:
         """Expand a lexical category into concrete items (subsets to atoms)."""
@@ -91,67 +105,65 @@ class _Analyzer:
         return [tuple(combo) for combo in product(*choices)]
 
     def match_item(
-        self, cat: Category, item: _Item, bindings: dict[str, str]
+        self, pattern: Pattern, item: _Item, bindings: dict[str, str]
     ) -> Optional[dict[str, str]]:
-        """Unify a daughter category against an item; return extended bindings."""
-        if cat.symbol != item.symbol:
+        """Unify a daughter pattern against an item; return extended bindings."""
+        symbol, constraints = pattern
+        if symbol != item.symbol:
             return None
         new = bindings
-        for slot, value in self._visible_constraints(cat):
+        for slot, allowed, name in constraints:
             have = item.fmap[slot]
-            if isinstance(value, Atom):
-                if have is not FREE and have != value.value:
+            if have is FREE:
+                continue
+            if name is None:
+                if have not in allowed:
                     return None
-            elif isinstance(value, Subset):
-                if have is not FREE and have not in value.values:
-                    return None
-            elif isinstance(value, Var):
-                bound = new.get(value.name)
-                if have is FREE:
-                    continue
-                if bound is None:
-                    if new is bindings:
-                        new = dict(bindings)
-                    new[value.name] = have
-                elif bound != have:
-                    return None
+                continue
+            bound = new.get(name)
+            if bound is None:
+                if new is bindings:
+                    new = dict(bindings)
+                new[name] = have
+            elif bound != have:
+                return None
         return new
+
+    def _mother_plan(self, rule: Rule) -> tuple[list, dict[str, tuple[str, ...]]]:
+        """Per relevant mother feature, the values it admits (FREE if
+        unconstrained) or a variable's name; and the domain of each variable
+        the mother repeats."""
+        constraint = dict(rule.mother.constraints)
+        names = [v.name for _, v in rule.mother.constraints if isinstance(v, Var)]
+        slots: list = []
+        repeated: dict[str, tuple[str, ...]] = {}
+        for feature in self.relevant[rule.mother.symbol]:
+            value = constraint.get(feature)
+            if value is None:
+                slots.append((FREE,))
+            elif isinstance(value, Atom):
+                slots.append((value.value,))
+            elif isinstance(value, Subset):
+                slots.append(tuple(value.values))
+            else:
+                slots.append(value.name)
+                if names.count(value.name) > 1:
+                    repeated.setdefault(value.name, tuple(self.domains[feature]))
+        return slots, repeated
 
     def mother_items(self, rule: Rule, bindings: dict[str, str]) -> list[FMap]:
         """All mother items licensed by a completed daughter match."""
-        feats = self.relevant[rule.mother.symbol]
-        constraint = dict(rule.mother.constraints)
-        var_mother_slots: dict[str, int] = {}
-        for feature, value in rule.mother.constraints:
-            if isinstance(value, Var):
-                var_mother_slots[value.name] = var_mother_slots.get(value.name, 0) + 1
+        slots, repeated = self.mothers[rule.id]
         # A repeated unbound mother variable must take a single concrete
         # value, shared by all its slots; split over the feature's domain.
-        split: dict[str, tuple[str, ...]] = {}
-        for feature in feats:
-            value = constraint.get(feature)
-            if (
-                isinstance(value, Var)
-                and value.name not in bindings
-                and var_mother_slots[value.name] > 1
-            ):
-                split.setdefault(value.name, tuple(self.domains[feature]))
-        names = sorted(split)
+        names = sorted(name for name in repeated if name not in bindings)
         items: list[FMap] = []
-        for picked in product(*(split[name] for name in names)):
+        for picked in product(*(repeated[name] for name in names)):
             full = {**bindings, **dict(zip(names, picked))}
-            choices: list[tuple[Optional[str], ...]] = []
-            for feature in feats:
-                value = constraint.get(feature)
-                if value is None:
-                    choices.append((FREE,))
-                elif isinstance(value, Atom):
-                    choices.append((value.value,))
-                elif isinstance(value, Subset):
-                    choices.append(tuple(value.values))
-                else:
-                    choices.append((full.get(value.name, FREE),))
-            items.extend(tuple(combo) for combo in product(*choices))
+            choices = [
+                (full.get(slot, FREE),) if isinstance(slot, str) else slot for slot in slots
+            ]
+            items.extend(product(*choices))
         return items
 
 
@@ -206,11 +218,11 @@ def oracle_parse(
     def matches(rule: Rule, i: int, j: int):
         """Yield (bindings, [(span, item), ...]) for complete daughter matches."""
         states: list[tuple[int, dict, list]] = [(i, {}, [])]
-        for daughter in rule.daughters:
+        for daughter in analyzer.patterns[rule.id]:
             next_states = []
             for pos, bindings, picked in states:
                 for end, item in starts.get(pos, ()):
-                    if end > j or item.symbol != daughter.symbol:
+                    if end > j or item.symbol != daughter[0]:
                         continue
                     extended = analyzer.match_item(daughter, item, bindings)
                     if extended is None:
@@ -331,9 +343,16 @@ def oracle_enumerate(
     so nothing already concatenated is concatenated again. The loop stops
     when a pass gains nothing.
 
-    ``cap`` bounds the number of distinct (item, string) pairs stored; each
-    is charged when it is first kept, and exceeding the cap raises
-    :class:`ResourceCapError`.
+    Each symbol has a length budget: ``max_len`` less the least yield of
+    any context it has under the start symbol, counted over symbols. An
+    item's context yields at least its symbol's, so an item's strings
+    longer than the budget cannot end up in the result and are not built.
+    Lexical entries and rules of unreachable symbols, or whose least yield
+    exceeds the budget, are skipped.
+
+    ``cap`` bounds the number of distinct (item, string) pairs stored, each
+    within its symbol's budget; each is charged when it is first kept, and
+    exceeding the cap raises :class:`ResourceCapError`.
     """
     analyzer = _Analyzer(grammar, feature_filter)
     stored = 0
@@ -360,12 +379,6 @@ def oracle_enumerate(
                     raise ResourceCapError("enumerated strings", cap)
                 fresh.setdefault(item, {}).setdefault(length, set()).update(new)
 
-    for entry in grammar.lexicon:
-        if len(entry.surface) > max_len:
-            continue
-        for fmap in analyzer.lexical_items(entry.category):
-            keep(_Item(entry.category.symbol, fmap), {len(entry.surface): {entry.surface}})
-
     # Minimum yield per symbol prunes hopeless daughter suffixes.
     min_yield: dict[str, int] = {}
     for entry in grammar.lexicon:
@@ -382,26 +395,62 @@ def oracle_enumerate(
         if not changed:
             break
 
-    rules: list[tuple[Rule, list[int]]] = []
-    users: dict[str, set[int]] = {}
+    # The rules per mother that fit in max_len, with the least yield of each
+    # suffix of their daughters.
+    options: dict[str, list[tuple[Rule, list[int]]]] = {}
     for rule in grammar.rules:
         suffix_min = [0] * (len(rule.daughters) + 1)
         for idx in range(len(rule.daughters) - 1, -1, -1):
             need = min_yield.get(rule.daughters[idx].symbol, max_len + 1)
             suffix_min[idx] = suffix_min[idx + 1] + need
-        if suffix_min[0] > max_len:
-            continue
-        for daughter in rule.daughters:
-            users.setdefault(daughter.symbol, set()).add(len(rules))
-        rules.append((rule, suffix_min))
+        if suffix_min[0] <= max_len:
+            options.setdefault(rule.mother.symbol, []).append((rule, suffix_min))
 
-    def extend(states, daughter, rest, items, tables):
-        """Match ``daughter`` against ``items``, reading their strings in
-        ``tables``; ``rest`` is the least yield of the daughters after it."""
+    # Budgets, absent for unreachable symbols. Contexts only grow down a
+    # derivation, so budgets settle largest first, as in Dijkstra's algorithm.
+    budget: dict[str, int] = {}
+    heap = [(-max_len, grammar.start)]
+    while heap:
+        negated, symbol = heapq.heappop(heap)
+        if symbol in budget:
+            continue
+        budget[symbol] = -negated
+        for rule, suffix_min in options.get(symbol, ()):
+            over = negated + suffix_min[0]  # least yield less the budget
+            if over > 0:
+                continue
+            for idx, daughter in enumerate(rule.daughters):
+                if daughter.symbol not in budget:
+                    need = suffix_min[idx] - suffix_min[idx + 1]
+                    heapq.heappush(heap, (over - need, daughter.symbol))
+
+    for entry in grammar.lexicon:
+        if len(entry.surface) > budget.get(entry.category.symbol, -1):
+            continue
+        for fmap in analyzer.lexical_items(entry.category):
+            keep(_Item(entry.category.symbol, fmap), {len(entry.surface): {entry.surface}})
+
+    # A rule's room[idx] is the longest its first idx daughters may yield:
+    # the mother's budget less the least yield of the rest.
+    rules: list[tuple[Rule, list[Pattern], list[int]]] = []
+    users: dict[str, set[int]] = {}
+    for mother, fitting in options.items():
+        limit = budget.get(mother, -1)
+        for rule, suffix_min in fitting:
+            if suffix_min[0] > limit:
+                continue
+            for daughter in rule.daughters:
+                users.setdefault(daughter.symbol, set()).add(len(rules))
+            room = [limit - need for need in suffix_min]
+            rules.append((rule, analyzer.patterns[rule.id], room))
+
+    def extend(states, pattern, room, items, tables):
+        """Match ``pattern`` against ``items``, reading their strings in
+        ``tables``; keep the strings no longer than ``room``."""
         next_states = []
         for bindings, strings in states:
             for item in items:
-                extended = analyzer.match_item(daughter, item, bindings)
+                extended = analyzer.match_item(pattern, item, bindings)
                 if extended is None:
                     continue
                 combined: dict[int, set[tuple[str, ...]]] = {}
@@ -409,7 +458,7 @@ def oracle_enumerate(
                     for got_len, got in table.get(item, {}).items():
                         for have_len, have in strings.items():
                             total = have_len + got_len
-                            if total + rest > max_len:
+                            if total > room:
                                 continue
                             bucket = combined.setdefault(total, set())
                             bucket.update(p + s for p in have for s in got)
@@ -437,30 +486,23 @@ def oracle_enumerate(
             if item not in old:
                 held_items.setdefault(item.symbol, []).append(item)
         todo = sorted({idx for symbol in delta_items for idx in users.get(symbol, ())})
-        for rule, suffix_min in map(rules.__getitem__, todo):
-            daughters = rule.daughters
-            last = max(k for k, d in enumerate(daughters) if d.symbol in delta_items)
+        for rule, patterns, room in map(rules.__getitem__, todo):
+            last = max(k for k, (symbol, _) in enumerate(patterns) if symbol in delta_items)
             prefix: list[tuple[dict, dict[int, set[tuple[str, ...]]]]] = [({}, {0: {()}})]
             for k in range(last + 1):
-                symbol = daughters[k].symbol
+                symbol = patterns[k][0]
                 if symbol in delta_items:
-                    states = extend(
-                        prefix, daughters[k], suffix_min[k + 1], delta_items[symbol], (delta,)
-                    )
-                    for idx in range(k + 1, len(daughters)):
+                    states = extend(prefix, patterns[k], room[k + 1], delta_items[symbol], (delta,))
+                    for idx in range(k + 1, len(patterns)):
                         if not states:
                             break
-                        after = held_items.get(daughters[idx].symbol, ())
-                        states = extend(
-                            states, daughters[idx], suffix_min[idx + 1], after, (old, delta)
-                        )
+                        after = held_items.get(patterns[idx][0], ())
+                        states = extend(states, patterns[idx], room[idx + 1], after, (old, delta))
                     for bindings, strings in states:
                         for fmap in analyzer.mother_items(rule, bindings):
                             keep(_Item(rule.mother.symbol, fmap), strings)
                 if k < last:
-                    prefix = extend(
-                        prefix, daughters[k], suffix_min[k + 1], old_items.get(symbol, ()), (old,)
-                    )
+                    prefix = extend(prefix, patterns[k], room[k + 1], old_items.get(symbol, ()), (old,))
                     if not prefix:
                         break
 

@@ -390,6 +390,35 @@ def _min_yields(grammar: _PlainGrammar, limit: int) -> dict[str, int]:
     return min_yield
 
 
+def _budgets(
+    options: dict[Symbol, list[tuple[tuple[Symbol, ...], list[int]]]],
+    start: Symbol,
+    max_len: int,
+) -> dict[Symbol, int]:
+    """Each symbol's budget: ``max_len`` less the least yield of any context
+    it has in a derivation from ``start``; unreachable symbols are absent.
+
+    ``options`` maps a symbol to its alternatives, each with the least
+    yield of each suffix. Contexts only grow down a derivation, so budgets
+    are settled largest first, as in Dijkstra's algorithm.
+    """
+    budget: dict[Symbol, int] = {}
+    heap = [(-max_len, start)]
+    while heap:
+        negated, symbol = heapq.heappop(heap)
+        if symbol in budget:
+            continue
+        budget[symbol] = -negated
+        for symbols, tail_min in options.get(symbol, ()):
+            over = negated + tail_min[0]  # least yield less the budget
+            if over > 0:
+                continue
+            for idx, child in enumerate(symbols):
+                if child[0] == _REF and child not in budget:
+                    heapq.heappush(heap, (over - tail_min[idx] + tail_min[idx + 1], child))
+    return budget
+
+
 # A mantissa below this is renormalised with frexp, so that the product of
 # two stored mantissas is still a normal float.
 _TINY = 2.0**-256
@@ -577,12 +606,32 @@ def cfg_enumerate(
     already concatenated is concatenated again. The loop stops when a pass
     gains nothing.
 
+    Each production has a length budget: ``max_len`` less the least yield
+    of any context it has in a derivation from the start symbol. Only its
+    strings within the budget can end up in a string of length <= max_len,
+    so no longer ones are built. Alternatives of unreachable productions,
+    or whose least yield exceeds the mother's budget, are skipped.
+
     ``cap`` bounds the number of distinct (production, string) entries
-    stored; each is charged when it is first kept, and exceeding the cap
-    raises :class:`ResourceCapError`.
+    stored, each within its production's budget; each is charged when it
+    is first kept, and exceeding the cap raises :class:`ResourceCapError`.
     """
     grammar = _plain_grammar(cfg)
     min_yield = _min_yields(grammar, max_len)
+    # Each production's alternatives that fit in max_len, with the least
+    # yield of each of their suffixes.
+    options: dict[Symbol, list[tuple[tuple[Symbol, ...], list[int]]]] = {}
+    for name, alts in grammar.productions.items():
+        for symbols, _ in alts:
+            tail_min = [0] * (len(symbols) + 1)
+            for idx in range(len(symbols) - 1, -1, -1):
+                kind, value = symbols[idx]
+                need = 1 if kind == _TERM else min_yield.get(value, max_len + 1)
+                tail_min[idx] = tail_min[idx + 1] + need
+            if tail_min[0] <= max_len:
+                options.setdefault((_REF, name), []).append((symbols, tail_min))
+    budget = _budgets(options, (_REF, grammar.start), max_len)
+
     # old/delta/fresh[symbol][length] -> strings; a terminal holds its word
     # in ``old`` from the start and never gains anything.
     Table = dict[Symbol, dict[int, set[tuple[str, ...]]]]
@@ -591,32 +640,30 @@ def cfg_enumerate(
     fresh: Table = {}
     stored = 0
 
+    # An alternative's room[idx] is the longest its first idx symbols may
+    # yield: the mother's budget less the least yield of the rest.
     alternatives: list[tuple[Symbol, tuple[Symbol, ...], list[int]]] = []
     users: dict[Symbol, set[int]] = {}
-    for name, options in grammar.productions.items():
-        for symbols, _ in options:
-            tail_min = [0] * (len(symbols) + 1)
-            for idx in range(len(symbols) - 1, -1, -1):
-                kind, value = symbols[idx]
-                need = 1 if kind == _TERM else min_yield.get(value, max_len + 1)
-                tail_min[idx] = tail_min[idx + 1] + need
-            if tail_min[0] > max_len:
+    for mother, alts in options.items():
+        limit = budget.get(mother, -1)
+        for symbols, tail_min in alts:
+            if tail_min[0] > limit:
                 continue
             for symbol in symbols:
                 if symbol[0] == _TERM:
                     old[symbol] = {1: {(symbol[1],)}}
                 else:
                     users.setdefault(symbol, set()).add(len(alternatives))
-            alternatives.append(((_REF, name), symbols, tail_min))
+            alternatives.append((mother, symbols, [limit - need for need in tail_min]))
 
-    def extend(partial, got, rest):
-        """Append each of ``got`` to each partial string; ``rest`` is the
-        least yield of the symbols still to come."""
+    def extend(partial, got, room):
+        """Append each of ``got`` to each partial string, keeping those no
+        longer than ``room``."""
         grown: dict[int, set[tuple[str, ...]]] = {}
         for got_len, got_strings in got:
             for length, strings in partial.items():
                 total = length + got_len
-                if total + rest > max_len:
+                if total > room:
                     continue
                 grown.setdefault(total, set()).update(
                     p + s for p in strings for s in got_strings
@@ -639,11 +686,11 @@ def cfg_enumerate(
                     raise ResourceCapError("enumerated strings", cap)
                 fresh.setdefault(symbol, {}).setdefault(length, set()).update(new)
 
-    for mother, symbols, tail_min in alternatives:
+    for mother, symbols, room in alternatives:
         if all(kind == _TERM for kind, _ in symbols):
             partial = {0: {()}}
             for idx, symbol in enumerate(symbols):
-                partial = extend(partial, old[symbol].items(), tail_min[idx + 1])
+                partial = extend(partial, old[symbol].items(), room[idx + 1])
             keep(mother, partial)
 
     while True:
@@ -655,21 +702,21 @@ def cfg_enumerate(
             break
         delta, fresh = fresh, {}
         todo = sorted({idx for symbol in delta for idx in users.get(symbol, ())})
-        for mother, symbols, tail_min in map(alternatives.__getitem__, todo):
+        for mother, symbols, room in map(alternatives.__getitem__, todo):
             last = max(k for k, symbol in enumerate(symbols) if symbol in delta)
             prefix = {0: {()}}  # old strings of the positions before k
             for k, symbol in enumerate(symbols[: last + 1]):
                 if symbol in delta:
-                    partial = extend(prefix, delta[symbol].items(), tail_min[k + 1])
+                    partial = extend(prefix, delta[symbol].items(), room[k + 1])
                     for idx in range(k + 1, len(symbols)):
                         if not partial:
                             break
                         after = symbols[idx]
                         got = [*old.get(after, {}).items(), *delta.get(after, {}).items()]
-                        partial = extend(partial, got, tail_min[idx + 1])
+                        partial = extend(partial, got, room[idx + 1])
                     keep(mother, partial)
                 if k < last:
-                    prefix = extend(prefix, old.get(symbol, {}).items(), tail_min[k + 1])
+                    prefix = extend(prefix, old.get(symbol, {}).items(), room[k + 1])
                     if not prefix:
                         break
 

@@ -24,6 +24,7 @@ from gramlm import (
     metrics_to_kv,
     metrics_to_table,
     oracle_enumerate,
+    parse_grammar,
     perplexity,
     pfsg_enumerate,
     pfsg_to_text,
@@ -257,11 +258,12 @@ def test_enumeration_under_cap_succeeds():
 
 
 # Smallest passing caps: each enumerator stores this many distinct entries,
-# (production, string) for the model and (item, string) for the oracle.
+# (production, string) for the model and (item, string) for the oracle,
+# each within its symbol's budget.
 CAP_THRESHOLDS = [
-    ("shuttle_rels", 5, 60874, 19305),
+    ("shuttle_rels", 5, 12836, 15342),
     ("wordplus3", 8, 9843, 9843),
-    ("direct_left", 8, 18, 10),
+    ("direct_left", 8, 17, 10),
 ]
 
 
@@ -274,6 +276,47 @@ def test_enumeration_cap_threshold_is_the_stored_count(name, max_len, model_cap,
     assert oracle_enumerate(grammar(name), max_len, cap=oracle_cap)
     with pytest.raises(ResourceCapError):
         oracle_enumerate(grammar(name), max_len, cap=oracle_cap - 1)
+
+
+# x sits only under the fixed context "a a a", so at length 6 its budget is
+# 3; u is productive but unreachable from s, so it gets no budget at all.
+LONG_CONTEXT_CFG = cfg_from_text(
+    """
+    s -> "a" "a" "a" x | "b" ;
+    x -> "c" x | "c" ;
+    u -> "d" u | "d" ;
+    """
+)
+LONG_CONTEXT_GRAMMAR = """
+start S
+rule long: S -> A A A X
+rule short: S -> B
+rule more: X -> C X
+rule one: X -> C
+rule loop: U -> D U
+rule stop: U -> D
+lex "a": A
+lex "b": B
+lex "c": C
+lex "d": D
+"""
+
+
+def test_enumeration_stores_only_what_fits_the_least_context():
+    """The stored entries are the budgeted ones: s's 4 strings and x's 3 in
+    the model; those plus the items of "a", "b" and "c" in the oracle."""
+    g = parse_grammar(LONG_CONTEXT_GRAMMAR)
+    lang = {("b",)} | {("a", "a", "a") + ("c",) * n for n in (1, 2, 3)}
+    assert cfg_enumerate(LONG_CONTEXT_CFG, 6) == lang
+    assert pfsg_enumerate(build_pfsg(LONG_CONTEXT_CFG), 6) == lang
+    assert oracle_enumerate(g, 6) == lang
+    assert cfg_enumerate(compile_grammar(g).cfg, 6) == lang
+    assert cfg_enumerate(LONG_CONTEXT_CFG, 6, cap=7)
+    with pytest.raises(ResourceCapError):
+        cfg_enumerate(LONG_CONTEXT_CFG, 6, cap=6)
+    assert oracle_enumerate(g, 6, cap=10)
+    with pytest.raises(ResourceCapError):
+        oracle_enumerate(g, 6, cap=9)
 
 
 def test_library_string_caps_match_the_command_line():
