@@ -80,12 +80,6 @@ class ContextFreeGrammar:
                 if ref not in defined:
                     raise GramlmError(f"{name!r} references undefined {ref!r}")
 
-    def body(self, name: str) -> Expr:
-        for prod_name, expr in self.productions:
-            if prod_name == name:
-                return expr
-        raise KeyError(name)
-
 
 def iter_nodes(expr: Expr) -> Iterator[Expr]:
     yield expr

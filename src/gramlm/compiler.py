@@ -26,9 +26,9 @@ The pipeline has four stages:
    is the load-bearing mechanism: a rectangle demanding one atomic value
    of a linked feature splits the daughters one way per instance, while a
    rectangle demanding the full range rides through a one-mother/one-
-   daughter link as a single alternative. A daughter rectangle is kept if
-   the projection table instantiation built for its fixed positions files
-   a supported vector under one of its keys.
+   daughter link as a single alternative. A daughter rectangle takes the
+   restricted value sets where the rule fixes it and the symbol's
+   supported projection elsewhere.
 
 :func:`eliminate_left_recursion` and :func:`expansion_stats` round out the
 module.
@@ -126,13 +126,10 @@ class InstantiationSet:
 
 @dataclass
 class Instantiations:
-    """Per-rule retained tuples plus the support tables emission needs."""
+    """Per-rule retained tuples and the supported vectors per symbol."""
 
     per_rule: dict[str, InstantiationSet]
     supported: dict[str, frozenset[Vector]]
-    # Per symbol and per tuple of naming positions some rule fixes on it as
-    # a daughter: the supported vectors keyed by their values there.
-    tables: dict[str, dict[tuple[int, ...], dict[Vector, list[Vector]]]]
     index: _Index  # the lookup tables of the grammar they were computed for
 
 
@@ -393,7 +390,6 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     return Instantiations(
         per_rule,
         {sym: frozenset(vectors) for sym, vectors in supported.items()},
-        tables,
         index,
     )
 
@@ -460,31 +456,24 @@ def rect_name(symbol: str, dims: Sequence[str], spans: Sequence[Sequence[str]]) 
 def emit_cfg(
     grammar: Grammar,
     inst: Instantiations,
-    merged: Optional[Mapping[str, Sequence[RuleInstance]]] = None,
+    merged: Mapping[str, Sequence[RuleInstance]],
 ) -> ContextFreeGrammar:
-    """Emit the context-free grammar over demanded rectangle nonterminals."""
-    if merged is None:
-        merged = merge_all(grammar, inst)
+    """Emit the context-free grammar over demanded rectangle nonterminals
+    from ``merged``, the merged instances of ``inst`` (see :func:`merge_all`)."""
     index = inst.index
-    supported = inst.supported
-    if not supported.get(grammar.start):
-        raise CompileError(f"start symbol {grammar.start!r} has no supported instantiations")
 
     # Per-position projections of the supported vectors, in domain order;
     # an unrestricted position of a rectangle spans its projection.
     projections: dict[str, tuple[tuple[str, ...], ...]] = {}
-    projected: dict[str, list[set[str]]] = {}
     for symbol in index.symbols:
         spans = []
         for pos, feature in enumerate(index.naming_dims[symbol]):
-            values = {vec[pos] for vec in supported[symbol]}
+            values = {vec[pos] for vec in inst.supported[symbol]}
             spans.append(tuple(v for v in index.domains[feature] if v in values))
         projections[symbol] = tuple(spans)
-        projected[symbol] = [set(span) for span in spans]
 
     # Per rule: the mother naming positions linked to each dimension, and per
-    # daughter the positions a tuple fixes there, the dimensions fixing them
-    # and the daughter's projection table on those positions.
+    # daughter the positions a tuple fixes there and the dimensions fixing them.
     plans: dict[str, tuple] = {}
     for rule in grammar.rules:
         (mother_positions, mother_dims), *occurrences = index.slot_positions(
@@ -493,10 +482,7 @@ def emit_cfg(
         links: dict[int, list[int]] = {}
         for pos, d_idx in zip(mother_positions, mother_dims):
             links.setdefault(d_idx, []).append(pos)
-        daughters = [
-            (cat.symbol, positions, picks, inst.tables[cat.symbol][positions])
-            for cat, (positions, picks) in zip(rule.daughters, occurrences)
-        ]
+        daughters = [(cat.symbol, *occurrence) for cat, occurrence in zip(rule.daughters, occurrences)]
         plans[rule.id] = (tuple(links.items()), daughters)
 
     names: dict[tuple[str, tuple], str] = {}
@@ -509,17 +495,13 @@ def emit_cfg(
             queue.append(key)
         return names[key]
 
-    def child_ref(restricted: Sequence[tuple[str, ...]], daughter: tuple) -> Optional[Ref]:
-        """The daughter's rectangle under a restricted instance, if some
-        supported vector falls inside it."""
-        symbol, positions, picks, table = daughter
+    def child_ref(restricted: Sequence[tuple[str, ...]], daughter: tuple) -> Ref:
+        """The daughter's rectangle under a restricted instance. Each of its
+        tuples fired, so the daughter keys it fixes are all supported."""
+        symbol, positions, picks = daughter
         spans = list(projections[symbol])
         for pos, d_idx in zip(positions, picks):
-            spans[pos] = tuple(filter(projected[symbol][pos].__contains__, restricted[d_idx]))
-        # The unfixed positions span their projections, so the rectangle holds
-        # a supported vector iff the table files one under a fixed-position key.
-        if not any(key in table for key in product(*(spans[pos] for pos in positions))):
-            return None
+            spans[pos] = restricted[d_idx]
         return Ref(discover(symbol, tuple(spans)))
 
     discover(grammar.start, projections[grammar.start])
@@ -541,14 +523,7 @@ def emit_cfg(
                     if not restricted[d_idx]:
                         break
                 else:
-                    refs = []
-                    for daughter in daughters:
-                        ref = child_ref(restricted, daughter)
-                        if ref is None:
-                            break
-                        refs.append(ref)
-                    else:
-                        alternatives.append(seq(refs))
+                    alternatives.append(seq([child_ref(restricted, d) for d in daughters]))
         positions = index.positions[symbol]
         for entry in index.lex_by_symbol.get(symbol, ()):
             for feature, value in entry.category.constraints:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CAP_STRINGS, ResourceCapError, UnknownTokenError
 from .grammar import Atom, Category, Grammar, Rule, Subset, Var, constrained_features
@@ -30,9 +30,9 @@ FREE = None
 # value or FREE; maps are tuples aligned with the symbol's feature list.
 FMap = tuple  # tuple[Optional[str], ...]
 
-# A daughter category prepared for matching: its symbol and its visible
-# constraints, each as (slot in the symbol's feature map, the values an atom
-# or subset allows or None, a variable's name or None).
+# A daughter category prepared for matching: its symbol and its constraints,
+# each as (slot in the symbol's feature map, the values an atom or subset
+# allows or None, a variable's name or None).
 Pattern = tuple  # tuple[str, tuple[tuple[int, Optional[frozenset], Optional[str]], ...]]
 
 
@@ -52,23 +52,14 @@ class ParseResult:
 class _Analyzer:
     """Per-grammar tables shared by parsing and enumeration."""
 
-    def __init__(self, grammar: Grammar, feature_filter: Optional[Iterable[str]] = None):
+    def __init__(self, grammar: Grammar):
         self.grammar = grammar
-        visible = None if feature_filter is None else frozenset(feature_filter)
-        if visible is not None:
-            unknown = visible - set(grammar.feature_names())
-            if unknown:
-                raise KeyError(f"unknown features in filter: {sorted(unknown)}")
         self.domains = {d.name: d.values for d in grammar.features}
         self.symbols = {c.symbol for r in grammar.rules for c in r.categories()}
         self.symbols.update(e.category.symbol for e in grammar.lexicon)
-        self.relevant: dict[str, tuple[str, ...]] = {}
-        for symbol in self.symbols:
-            feats = constrained_features(grammar, symbol, include_lexicon=True)
-            if visible is not None:
-                feats = tuple(f for f in feats if f in visible)
-            self.relevant[symbol] = feats
-        self.visible = visible
+        self.relevant: dict[str, tuple[str, ...]] = {
+            symbol: constrained_features(grammar, symbol, include_lexicon=True) for symbol in self.symbols
+        }
         self.patterns: dict[str, list[Pattern]] = {
             rule.id: [self._pattern(d) for d in rule.daughters] for rule in grammar.rules
         }
@@ -177,7 +168,6 @@ def _check_tokens(grammar: Grammar, tokens: Sequence[str]) -> None:
 def oracle_parse(
     grammar: Grammar,
     tokens: Sequence[str],
-    feature_filter: Optional[Iterable[str]] = None,
     max_derivations: int = 10,
     count_cap: int = 10**6,
 ) -> ParseResult:
@@ -188,7 +178,7 @@ def oracle_parse(
     """
     tokens = tuple(tokens)
     _check_tokens(grammar, tokens)
-    analyzer = _Analyzer(grammar, feature_filter)
+    analyzer = _Analyzer(grammar)
     n = len(tokens)
     if n == 0:
         return ParseResult(False, 0, [])
@@ -327,7 +317,6 @@ def oracle_parse(
 def oracle_enumerate(
     grammar: Grammar,
     max_len: int,
-    feature_filter: Optional[Iterable[str]] = None,
     cap: int = CAP_STRINGS,
 ) -> set[tuple[str, ...]]:
     """All token sequences of length <= max_len derivable from the start symbol.
@@ -354,7 +343,7 @@ def oracle_enumerate(
     within its symbol's budget; each is charged when it is first kept, and
     exceeding the cap raises :class:`ResourceCapError`.
     """
-    analyzer = _Analyzer(grammar, feature_filter)
+    analyzer = _Analyzer(grammar)
     stored = 0
 
     # old/delta/fresh[item][length] -> set of token tuples

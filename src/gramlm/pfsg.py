@@ -238,7 +238,24 @@ def metrics_to_kv(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CATEGORY_METRICS = {"graph_count": int, "mean_nodes": float, "mean_transitions": float}
+
+
+def _kv_number(line_no: int, key: str, value: str, parse: type) -> float:
+    try:
+        return parse(value)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ValueError(f"line {line_no}: {key!r} must be {kind}, not {value!r}") from None
+
+
 def metrics_from_kv(text: str) -> MetricsReport:
+    """Read back what :func:`metrics_to_kv` writes.
+
+    A line that is not ``key=value``, a key naming no known metric, or a
+    value that does not parse as the metric's number raises ``ValueError``
+    naming the line.
+    """
     totals = {"total_graphs": 0, "total_nodes": 0, "total_transitions": 0, "max_transitions_per_graph": 0}
     per_graph: dict[str, list[Optional[int]]] = {}
     categories: dict[str, dict[str, float]] = {}
@@ -250,14 +267,19 @@ def metrics_from_kv(text: str) -> MetricsReport:
             raise ValueError(f"line {line_no}: expected key=value")
         key, value = line.split("=", 1)
         if key in totals:
-            totals[key] = int(value)
+            totals[key] = _kv_number(line_no, key, value, int)
         elif key.startswith("category."):
-            _, category, metric = key.split(".", 2)
-            categories.setdefault(category, {})[metric] = float(value)
+            category, _, metric = key[len("category.") :].partition(".")
+            parse = _CATEGORY_METRICS.get(metric)
+            if parse is None:
+                raise ValueError(f"line {line_no}: {key!r} names no category metric ({', '.join(_CATEGORY_METRICS)})")
+            categories.setdefault(category, {})[metric] = _kv_number(line_no, key, value, parse)
         elif key.startswith("per_graph."):
-            name, metric = key[len("per_graph.") :].rsplit(".", 1)
+            name, _, metric = key[len("per_graph.") :].rpartition(".")
+            if not name or metric not in ("nodes", "transitions"):
+                raise ValueError(f"line {line_no}: {key!r} names no per-graph metric (nodes, transitions)")
             slot = per_graph.setdefault(name, [None, None])
-            slot[0 if metric == "nodes" else 1] = int(value)
+            slot[0 if metric == "nodes" else 1] = _kv_number(line_no, key, value, int)
         else:
             raise ValueError(f"line {line_no}: unknown key {key!r}")
     per_category = {

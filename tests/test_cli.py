@@ -192,6 +192,28 @@ def test_unsupported_start_symbol_is_a_usage_error(tmp_path):
     assert "start symbol 'S' has no supported instantiations" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "per_graph.np.bogus=3",
+        "per_graph.np=3",
+        "category.np=2",
+        "category.np.median_nodes=2",
+        "total_graphs=abc",
+        "per_graph.np.nodes=2.5",
+        "category.np.mean_nodes=many",
+    ],
+)
+def test_diff_names_the_bad_line_of_a_metrics_file(tmp_path, line):
+    good = tmp_path / "good.kv"
+    good.write_text("total_graphs=1\nper_graph.np.nodes=2\nper_graph.np.transitions=3\n", encoding="utf-8")
+    bad = tmp_path / "bad.kv"
+    bad.write_text(good.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    r = run("diff", good, bad)
+    assert r.returncode == 1
+    assert "error: line 4: " in r.stderr
+
+
 def test_no_subcommand_is_a_usage_error():
     r = run()
     assert r.returncode == 1

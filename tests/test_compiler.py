@@ -93,6 +93,20 @@ def test_unsupported_combinations_are_dropped():
     assert inst.per_rule["x"].tuples == (("a",),)
 
 
+def assert_daughter_keys_supported(result):
+    """Every retained tuple agrees, at each daughter's fixed positions, with
+    a vector the daughter supports; emission builds daughter rectangles
+    from the merged instances on this alone."""
+    inst = result.inst
+    for rule in result.grammar.rules:
+        retained = inst.per_rule[rule.id]
+        _, *occurrences = inst.index.slot_positions(rule, retained.dims)
+        for cat, (positions, picks) in zip(rule.daughters, occurrences):
+            keys = {tuple(vec[p] for p in positions) for vec in inst.supported[cat.symbol]}
+            for values in retained.tuples:
+                assert tuple(values[d] for d in picks) in keys, (rule.id, cat.symbol, values)
+
+
 @pytest.mark.parametrize("name", ALL_ASSETS)
 def test_merged_instances_partition_the_tuples(name):
     """Every merged rectangle covers retained tuples exactly once."""
@@ -104,6 +118,7 @@ def test_merged_instances_partition_the_tuples(name):
             covered.extend(itertools.product(*instance.values))
         assert len(covered) == len(set(covered)), f"overlap in {name}:{rule_id}"
         assert set(covered) == atoms, f"coverage gap in {name}:{rule_id}"
+    assert_daughter_keys_supported(result)
 
 
 def test_merge_collapses_one_to_one_links():
@@ -429,6 +444,7 @@ def test_random_feature_grammars_compile_to_the_oracle_language(text):
         else:
             assert "cyclic unit production" in str(err)
         return
+    assert_daughter_keys_supported(first)
     second = compile_grammar(g, cap_tuples=10**4)
     assert cfg_to_text(first.cfg) == cfg_to_text(second.cfg)
     language = oracle_enumerate(g, 4)
