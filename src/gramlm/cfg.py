@@ -131,8 +131,17 @@ _CFG_TOKEN_RE = re.compile(
 )
 
 
+# Deepest nesting of groups and repetitions cfg_from_text accepts. The
+# parser and every walk over an expression recurse once per level, so this
+# keeps them far inside Python's recursion limit.
+_MAX_NESTING = 100
+
+
 def cfg_from_text(text: str) -> ContextFreeGrammar:
+    """Parse the text format; every syntax error names its line."""
     tokens: list[tuple[str, str]] = []
+    lines: list[int] = []
+    line_no = 1
     for line_no, line in enumerate(text.splitlines(), start=1):
         pos = 0
         while pos < len(line):
@@ -144,61 +153,79 @@ def cfg_from_text(text: str) -> ContextFreeGrammar:
                 break
             if kind != "ws":
                 tokens.append((kind, match.group()))
+                lines.append(line_no)
             pos = match.end()
+    tokens.append(("end", "end of input"))
+    lines.append(line_no)
 
     index = 0
 
-    def peek():
-        return tokens[index] if index < len(tokens) else (None, None)
+    def error(message: str) -> GramlmError:
+        return GramlmError(f"line {lines[index]}: {message}")
+
+    def peek() -> tuple[str, str]:
+        return tokens[index]
 
     def take(kind: str, value=None) -> str:
         nonlocal index
         got_kind, got = peek()
         if got_kind != kind or (value is not None and got != value):
-            raise GramlmError(f"expected {value or kind!r}, got {got!r}")
+            raise error(f"expected {value or kind!r}, got {got!r}")
         index += 1
         return got
 
-    def parse_alt() -> Expr:
-        options = [parse_seq()]
+    # Each parse_* takes the number of enclosing groups and returns the node
+    # with its nesting: the groups and repetitions on its deepest path.
+    def parse_alt(depth: int) -> tuple[Expr, int]:
+        option, nesting = parse_seq(depth)
+        options = [option]
         while peek() == ("punct", "|"):
             take("punct", "|")
-            options.append(parse_seq())
-        return alt(options)
+            option, inner = parse_seq(depth)
+            options.append(option)
+            nesting = max(nesting, inner)
+        return alt(options), nesting
 
-    def parse_seq() -> Expr:
-        items = [parse_postfix()]
+    def parse_seq(depth: int) -> tuple[Expr, int]:
+        item, nesting = parse_postfix(depth)
+        items = [item]
         while peek()[0] in ("name", "string") or peek() == ("punct", "("):
-            items.append(parse_postfix())
-        return seq(items)
+            item, inner = parse_postfix(depth)
+            items.append(item)
+            nesting = max(nesting, inner)
+        return seq(items), nesting
 
-    def parse_postfix() -> Expr:
-        node = parse_primary()
+    def parse_postfix(depth: int) -> tuple[Expr, int]:
+        node, nesting = parse_primary(depth)
         while peek() == ("punct", "*"):
             take("punct", "*")
-            node = Star(node)
-        return node
+            node, nesting = Star(node), nesting + 1
+            if depth + nesting > _MAX_NESTING:
+                raise error(f"groups and repetitions nested deeper than {_MAX_NESTING}")
+        return node, nesting
 
-    def parse_primary() -> Expr:
+    def parse_primary(depth: int) -> tuple[Expr, int]:
         kind, value = peek()
         if kind == "string":
             take("string")
-            return Term(value[1:-1])
+            return Term(value[1:-1]), 0
         if kind == "name":
             take("name")
-            return Ref(value)
+            return Ref(value), 0
         if (kind, value) == ("punct", "("):
+            if depth == _MAX_NESTING:
+                raise error(f"groups and repetitions nested deeper than {_MAX_NESTING}")
             take("punct", "(")
-            node = parse_alt()
+            node, nesting = parse_alt(depth + 1)
             take("punct", ")")
-            return node
-        raise GramlmError(f"expected a terminal, name, or group, got {value!r}")
+            return node, nesting + 1
+        raise error(f"expected a terminal, name, or group, got {value!r}")
 
     productions: list[tuple[str, Expr]] = []
-    while index < len(tokens):
+    while peek()[0] != "end":
         name = take("name")
         take("arrow")
-        expr = parse_alt()
+        expr, _ = parse_alt(0)
         take("punct", ";")
         productions.append((name, expr))
     if not productions:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, seq
 from .errors import CompileError, ResourceCapError
@@ -574,79 +574,6 @@ def _leftmost_refs(expr: Expr) -> tuple[set[str], bool]:
     return refs, True
 
 
-def _strongly_connected(order: Sequence[str], edges: Mapping[str, set[str]]) -> list[list[str]]:
-    """Tarjan's algorithm, iterative, preserving definition order within SCCs."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    result: list[list[str]] = []
-    counter = 0
-    position = {name: i for i, name in enumerate(order)}
-
-    for root in order:
-        if root in index_of:
-            continue
-        work = [(root, iter(sorted(edges.get(root, ()))))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in edges and child not in index_of:
-                    continue
-                if child not in index_of:
-                    index_of[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(edges.get(child, ())))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                component.sort(key=position.__getitem__)
-                result.append(component)
-    return result
-
-
-def _flatten_alternatives(expr: Expr) -> Optional[list[list[Expr]]]:
-    """Production body as alternative item lists, or None if not flat.
-
-    Stars are allowed as items (substitution introduces them mid-sequence);
-    nested alternation is not.
-    """
-    options = expr.options if isinstance(expr, Alt) else (expr,)
-    out: list[list[Expr]] = []
-    for option in options:
-        items = option.items if isinstance(option, Seq) else (option,)
-        flat: list[Expr] = []
-        for item in items:
-            if isinstance(item, (Term, Ref, Star)):
-                flat.append(item)
-            else:
-                return None
-        out.append(flat)
-    return out
-
-
 def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = 10**7) -> ContextFreeGrammar:
     """Rewrite left-recursive productions using trailing repetition.
 
@@ -654,81 +581,117 @@ def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = 10**7) -> Conte
     ``A -> (b1|..|bm) (a1|..|ak)*`` — no fresh nonterminal and no empty
     production, which the graph backend requires. Indirect recursion is
     first reduced to direct recursion by substituting earlier members of
-    the same leftmost-reference cycle, in definition order. Grammars whose
-    leftmost-reference graph is already acyclic are returned unchanged
-    (the same object). A starred body taking part in a cycle is not
-    supported and raises :class:`CompileError`.
+    the same leftmost-reference cycle, in definition order, one pass per
+    earlier member. Grammars whose leftmost-reference graph is already
+    acyclic are returned unchanged (the same object).
+
+    Not supported, and raised as :class:`CompileError`: a cycle member
+    whose body nests a group inside an alternative, a cyclic unit
+    production, a member that is only left-recursive, and recursion
+    through a repetition (``A -> (A a)* b``), which survives elimination.
 
     Substitution can multiply alternatives exponentially (Moore 2000), so
     every alternative it produces is charged to ``cap``; beyond it
     :class:`ResourceCapError` is raised.
     """
-    budget = cap
     order = [name for name, _ in cfg.productions]
-    bodies = {name: expr for name, expr in cfg.productions}
     edges = {name: _leftmost_refs(expr)[0] for name, expr in cfg.productions}
-    components = _strongly_connected(order, edges)
-    cyclic = [c for c in components if len(c) > 1 or (len(c) == 1 and c[0] in edges[c[0]])]
+    # Kosaraju: finish order of a search along the edges, then each search
+    # tree along the reversed edges, latest finish first, is a component.
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in order:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            node, children = stack[-1]
+            child = next((c for c in children if c not in seen), None)
+            if child is None:
+                stack.pop()
+                finished.append(node)
+            else:
+                seen.add(child)
+                stack.append((child, iter(edges[child])))
+    callers: dict[str, list[str]] = {name: [] for name in order}
+    for name in order:
+        for ref in edges[name]:
+            callers[ref].append(name)
+    leader: dict[str, str] = {}
+    for root in reversed(finished):
+        if root in leader:
+            continue
+        leader[root] = root
+        todo = [root]
+        while todo:
+            for caller in callers[todo.pop()]:
+                if caller not in leader:
+                    leader[caller] = root
+                    todo.append(caller)
+    components: dict[str, list[str]] = {}
+    for name in order:
+        components.setdefault(leader[name], []).append(name)
+    cyclic = [c for c in components.values() if len(c) > 1 or c[0] in edges[c[0]]]
     if not cyclic:
         return cfg
 
-    rewritten = dict(bodies)
+    budget = cap
+    rewritten = dict(cfg.productions)
     for component in cyclic:
-        member_set = set(component)
         flat: dict[str, list[list[Expr]]] = {}
         for name in component:
-            flattened = _flatten_alternatives(rewritten[name])
-            if flattened is None:
-                raise CompileError(
-                    f"left recursion through a starred body at {name!r} is not supported"
-                )
-            flat[name] = flattened
+            body = rewritten[name]
+            options = body.options if isinstance(body, Alt) else (body,)
+            flat[name] = [list(o.items) if isinstance(o, Seq) else [o] for o in options]
+            if any(not isinstance(item, (Term, Ref, Star)) for o in flat[name] for item in o):
+                raise CompileError(f"left recursion through a nested group at {name!r} is not supported")
         for i, name in enumerate(component):
-            # Substitute earlier cycle members heading an alternative.
-            for j in range(i):
-                earlier = component[j]
-                while True:
-                    expanded: list[list[Expr]] = []
-                    hit = False
-                    for option in flat[name]:
-                        if option and isinstance(option[0], Ref) and option[0].name == earlier:
-                            hit = True
-                            budget -= len(flat[earlier])
-                            if budget < 0:
-                                raise ResourceCapError("left-recursion alternatives", cap)
-                            for replacement in flat[earlier]:
-                                expanded.append(replacement + option[1:])
-                        else:
-                            expanded.append(option)
-                    flat[name] = expanded
-                    if not hit:
-                        break
-            recursive = [opt[1:] for opt in flat[name] if opt and isinstance(opt[0], Ref) and opt[0].name == name]
-            others = [opt for opt in flat[name] if not (opt and isinstance(opt[0], Ref) and opt[0].name == name)]
+            # One pass per earlier member is enough: once member j is
+            # processed, none of its alternatives starts with a member of
+            # index <= j, so no substitution brings back an earlier head.
+            options = flat[name]
+            for earlier in component[:i]:
+                head = Ref(earlier)
+                expanded: list[list[Expr]] = []
+                for option in options:
+                    if option[0] != head:
+                        expanded.append(option)
+                        continue
+                    budget -= len(flat[earlier])
+                    if budget < 0:
+                        raise ResourceCapError("left-recursion alternatives", cap)
+                    expanded.extend(replacement + option[1:] for replacement in flat[earlier])
+                options = expanded
+            head = Ref(name)
+            recursive: list[list[Expr]] = []
+            others: list[list[Expr]] = []
+            for option in options:
+                if option[0] == head:
+                    recursive.append(option[1:])
+                else:
+                    others.append(option)
             if not recursive:
-                rewritten[name] = alt([seq(opt) for opt in flat[name]])
+                rewritten[name] = alt([seq(option) for option in options])
+                flat[name] = options
                 continue
-            if any(not tail for tail in recursive):
+            if not all(recursive):
                 raise CompileError(f"cyclic unit production at {name!r}")
             if not others:
                 raise CompileError(f"production {name!r} is only left-recursive; its language is empty")
-            base = alt([seq(opt) for opt in others])
             loop = Star(alt([seq(tail) for tail in recursive]))
-            if isinstance(base, Seq):
-                rewritten[name] = Seq(tuple(base.items) + (loop,))
+            if len(others) == 1:
+                rewritten[name] = seq(others[0] + [loop])
             else:
-                rewritten[name] = Seq((base, loop))
+                rewritten[name] = Seq((alt([seq(option) for option in others]), loop))
             # Later members substitute this member's full language, which is
             # each base alternative with the repetition appended.
-            flat[name] = [opt + [loop] for opt in others]
-        # Verify no member of the component is still leftmost-cyclic.
+            flat[name] = [option + [loop] for option in others]
         for name in component:
-            refs, _ = _leftmost_refs(rewritten[name])
-            if name in refs:
+            if name in _leftmost_refs(rewritten[name])[0]:
                 raise CompileError(f"left recursion at {name!r} survived elimination")
 
-    productions = tuple((name, rewritten[name]) for name in order)
-    return ContextFreeGrammar(cfg.start, productions)
+    return ContextFreeGrammar(cfg.start, tuple((name, rewritten[name]) for name in order))
 
 
 @dataclass(frozen=True)

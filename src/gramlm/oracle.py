@@ -69,8 +69,6 @@ class _Analyzer:
         index = {f: i for i, f in enumerate(self.relevant[cat.symbol])}
         constraints = []
         for feature, value in cat.constraints:
-            if feature not in index:
-                continue
             if isinstance(value, Var):
                 constraints.append((index[feature], None, value.name))
             else:

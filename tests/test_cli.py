@@ -181,6 +181,22 @@ def test_bad_grammar_is_a_usage_error(tmp_path):
     assert "error:" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        's -> a ;\na -> "x" "y"\nb -> "z" ;\n',
+        's -> "x" ;\na -> "y" ;\nb -> ' + "( " * 400 + '"x"' + " )" * 400 + " ;\n",
+    ],
+)
+def test_bad_cfg_names_its_line(tmp_path, text):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="utf-8")
+    r = run("stats", bad)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: line 3: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_unsupported_start_symbol_is_a_usage_error(tmp_path):
     bad = tmp_path / "unsupported.gram"
     bad.write_text(

@@ -1,17 +1,21 @@
-"""Grammar DSL: parsing, printing, validation, and introspection."""
+"""Grammar DSL and CFG text format: parsing, printing, validation, and introspection."""
 
 import dataclasses
 
 import pytest
 from conftest import SHUTTLES, TOYS, grammar
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramlm import (
     Atom,
     DslSyntaxError,
     Grammar,
+    GramlmError,
     Subset,
     ValidationError,
     Var,
+    cfg_from_text,
     parse_grammar,
     print_grammar,
     surface_tokens,
@@ -169,3 +173,71 @@ def test_grammar_is_immutable():
     assert isinstance(g, Grammar)
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.start = "NP"
+
+
+# ---- both text formats on arbitrary input ----
+
+
+def _soup(words):
+    """Text made of format words, stray characters and line breaks."""
+    piece = st.one_of(st.sampled_from(words), st.text(max_size=2))
+    return st.lists(piece, max_size=30).map(" ".join)
+
+
+_GRAM_WORDS = (
+    "feature", "start", "rule", "lex", "syn", "sem", "S", "NP", "V", "agr", "s3", "r1",
+    "{", "}", "[", "]", ":", ",", "=", "->", '"the robot"', '""', "\n", "# c\n",
+)
+_CFG_WORDS = ("s", "a", "a-b", "->", "|", ";", "(", ")", "*", '"x"', '""', "\n", "# c\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_soup(_GRAM_WORDS))
+def test_grammar_parser_raises_only_its_own_errors(text):
+    try:
+        parse_grammar(text)
+    except GramlmError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_soup(_CFG_WORDS))
+def test_cfg_parser_raises_only_its_own_errors(text):
+    try:
+        cfg_from_text(text)
+    except GramlmError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "( " * n + '"x"' + " )" * n,
+        lambda n: '"x"' + " *" * n,
+        lambda n: "( " * (n // 2) + '"x"' + " )*" * (n // 2) + " *" * (n % 2),
+    ],
+    ids=["groups", "repetitions", "both"],
+)
+def test_cfg_nesting_is_capped_at_100_levels(nest):
+    # Groups and repetitions both count; past the cap the error names the
+    # line instead of overflowing Python's recursion limit.
+    cfg_from_text("a -> s ;\ns -> " + nest(100) + " ;")
+    for n in (101, 3000):
+        with pytest.raises(GramlmError, match="^line 2: groups and repetitions nested deeper than 100$"):
+            cfg_from_text("a -> s ;\ns -> " + nest(n) + " ;")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('s -> a ;\na -> "x" "y"\nb -> "z" ;\n', "line 3: expected ';', got '->'"),
+        ('s -> "x" ;\n\ns -> ( "y" ', "line 3: expected ')', got 'end of input'"),
+        ('s -> "x" ;\n  -> "y" ;', "line 2: expected 'name', got '->'"),
+        ('s -> "x" ;\nt -> | ;', "line 2: expected a terminal, name, or group, got '|'"),
+        ('s -> "x" ;\nt -> "y" ! ;', "line 2: unexpected character '!'"),
+    ],
+)
+def test_cfg_syntax_errors_name_the_line(text, message):
+    with pytest.raises(GramlmError) as err:
+        cfg_from_text(text)
+    assert str(err.value) == message
