@@ -15,8 +15,9 @@ The first production is the start symbol.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import GramlmError
 
@@ -75,28 +76,29 @@ class ContextFreeGrammar:
         defined = set(names)
         if self.start not in defined:
             raise GramlmError(f"start symbol {self.start!r} has no production")
+        # Elimination shares subexpressions, so the productions can be far
+        # larger as trees than as DAGs: walk each distinct sequence, option
+        # list and repetition once, so each edge of the DAG is followed once.
+        # Children go on the stack reversed, so the first undefined reference
+        # found is the first in the text.
+        checked: set[int] = set()
         for name, expr in self.productions:
-            for ref in iter_refs(expr):
-                if ref not in defined:
-                    raise GramlmError(f"{name!r} references undefined {ref!r}")
-
-
-def iter_nodes(expr: Expr) -> Iterator[Expr]:
-    yield expr
-    if isinstance(expr, Seq):
-        for item in expr.items:
-            yield from iter_nodes(item)
-    elif isinstance(expr, Alt):
-        for option in expr.options:
-            yield from iter_nodes(option)
-    elif isinstance(expr, Star):
-        yield from iter_nodes(expr.body)
-
-
-def iter_refs(expr: Expr) -> Iterator[str]:
-    for node in iter_nodes(expr):
-        if isinstance(node, Ref):
-            yield node.name
+            stack = [expr]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Ref):
+                    if node.name not in defined:
+                        raise GramlmError(f"{name!r} references undefined {node.name!r}")
+                elif isinstance(node, Term) or id(node) in checked:
+                    continue
+                else:
+                    checked.add(id(node))
+                    if isinstance(node, Seq):
+                        stack.extend(reversed(node.items))
+                    elif isinstance(node, Alt):
+                        stack.extend(reversed(node.options))
+                    else:
+                        stack.append(node.body)
 
 
 def _render(expr: Expr, parent: str) -> str:
@@ -210,6 +212,7 @@ def cfg_from_text(text: str) -> ContextFreeGrammar:
             take("string")
             return Term(value[1:-1]), 0
         if kind == "name":
+            refs.append(index)
             take("name")
             return Ref(value), 0
         if (kind, value) == ("punct", "("):
@@ -222,7 +225,11 @@ def cfg_from_text(text: str) -> ContextFreeGrammar:
         raise error(f"expected a terminal, name, or group, got {value!r}")
 
     productions: list[tuple[str, Expr]] = []
+    # The token index of each production's name and of each reference.
+    heads: list[int] = []
+    refs: list[int] = []
     while peek()[0] != "end":
+        heads.append(index)
         name = take("name")
         take("arrow")
         expr, _ = parse_alt(0)
@@ -230,4 +237,16 @@ def cfg_from_text(text: str) -> ContextFreeGrammar:
         productions.append((name, expr))
     if not productions:
         raise GramlmError("empty grammar text")
+    # Checked after the whole text parses, so syntax errors come first.
+    defined: dict[str, int] = {}
+    for head in heads:
+        name = tokens[head][1]
+        if name in defined:
+            raise GramlmError(f"line {lines[head]}: duplicate production {name!r} (first on line {defined[name]})")
+        defined[name] = lines[head]
+    for at in refs:
+        ref = tokens[at][1]
+        if ref not in defined:
+            name = tokens[heads[bisect(heads, at) - 1]][1]
+            raise GramlmError(f"line {lines[at]}: {name!r} references undefined {ref!r}")
     return ContextFreeGrammar(productions[0][0], tuple(productions))

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, seq
 from .errors import CompileError, ResourceCapError
@@ -221,6 +222,17 @@ def _lex_vectors(index: _Index, category: Category) -> Iterable[Vector]:
     return product(*choices)
 
 
+def _projector(indices: Sequence[int]) -> Callable[[Sequence[str]], Vector]:
+    """The values at ``indices``, always as a tuple (a bare ``itemgetter(i)``
+    would return the value itself)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda values: (values[i],)
+    return lambda values: ()
+
+
 def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instantiations:
     """Supported-and-demanded atomic tuples per rule.
 
@@ -239,8 +251,12 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     tested twice. Demand is then one worklist closure from every supported
     start vector: a fired candidate is retained iff its mother side equals
     a demanded vector, and retaining it demands every supported vector
-    matching its projection onto a daughter. Each mother key and each
-    daughter key is expanded once.
+    matching its projection onto a daughter.
+
+    Every key is built by a projector made once per list of positions
+    before the loops (see :func:`_projector`). Each list of positions a
+    rule fixes on a symbol has one set of the keys already expanded, so
+    each mother key and each daughter key is expanded once.
 
     The cap counts lexicon vectors, candidates and derived vectors.
     """
@@ -254,20 +270,15 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
             raise ResourceCapError("instantiation tuples", cap_tuples)
 
     # Per symbol and per tuple of naming positions some rule fixes on it as
-    # a daughter: the supported vectors keyed by their values there, and the
-    # candidates waiting for a first vector under a key.
-    tables: dict[str, dict[tuple[int, ...], dict[Vector, list[Vector]]]] = {
-        sym: {} for sym in index.symbols
-    }
-    waiting: dict[str, dict[tuple[int, ...], dict[Vector, list[int]]]] = {
-        sym: {} for sym in index.symbols
-    }
+    # a daughter: the projector of those positions, the supported vectors
+    # keyed by their values there, the candidates waiting for a first vector
+    # under a key, and the keys the demand pass has opened.
+    daughter_entries: dict[str, dict[tuple[int, ...], tuple]] = {sym: {} for sym in index.symbols}
     # Per symbol and per tuple of naming positions some rule fixes on it as
-    # a mother: the fired candidates keyed by their values there, each as
-    # (rule number, values).
-    fired: dict[str, dict[tuple[int, ...], dict[Vector, list[tuple[int, Vector]]]]] = {
-        sym: {} for sym in index.symbols
-    }
+    # a mother: the projector of those positions, the fired candidates keyed
+    # by their values there, each as (rule number, values), and the keys the
+    # demand pass has expanded.
+    mother_entries: dict[str, dict[tuple[int, ...], tuple]] = {sym: {} for sym in index.symbols}
     rule_dims = [index.rule_dims(rule) for rule in grammar.rules]
     plans: list[tuple] = []
     rule_daughters: list[list[tuple]] = []
@@ -280,8 +291,13 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
         daughters = []
         waits = []
         for cat, (positions, picks) in zip(rule.daughters, occurrences):
-            daughters.append((cat.symbol, positions, picks, tables[cat.symbol].setdefault(positions, {})))
-            waits.append((picks, waiting[cat.symbol].setdefault(positions, {})))
+            entries = daughter_entries[cat.symbol]
+            if positions not in entries:
+                entries[positions] = (_projector(positions), {}, {}, set())
+            _, table, wait, opened = entries[positions]
+            pick = _projector(picks)
+            daughters.append((cat.symbol, pick, table, opened))
+            waits.append((pick, wait))
         categories = (rule.mother, *rule.daughters)
         choices = []
         for dim in dims:
@@ -296,19 +312,28 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
         free_spans = [
             index.domains[feature] for feature in index.naming_dims[rule.mother.symbol]
         ]
-        groups = fired[rule.mother.symbol].setdefault(mother_positions, {})
-        plans.append((rule.mother.symbol, mother_positions, mother_dims, free_spans, groups))
+        entries = mother_entries[rule.mother.symbol]
+        if mother_positions not in entries:
+            entries[mother_positions] = (_projector(mother_positions), {}, set())
+        groups = entries[mother_positions][1]
+        plans.append((rule.mother.symbol, mother_positions, _projector(mother_dims), free_spans, groups))
         rule_daughters.append(daughters)
-        spend(prod(len(choice) for choice in choices))
+        count = prod(len(choice) for choice in choices)
+        spend(count)
         # Every key is missing: no vector is filed before the lexicon below.
-        for values in product(*choices):
-            cand = len(cand_values)
-            cand_rules.append(number)
-            cand_values.append(values)
-            missing.append(len(daughters))
-            for picks, wait in waits:
-                wait.setdefault(tuple(values[d] for d in picks), []).append(cand)
+        first = len(cand_values)
+        cand_values.extend(product(*choices))
+        cand_rules.extend([number] * count)
+        missing.extend([len(daughters)] * count)
+        for pick, wait in waits:
+            for cand, key in enumerate(map(pick, cand_values[first:]), first):
+                wait.setdefault(key, []).append(cand)
     ready = [cand for cand, count in enumerate(missing) if not count]
+    filings = {
+        sym: [(project, table, wait) for project, table, wait, _ in entries.values()]
+        for sym, entries in daughter_entries.items()
+    }
+    expansions = {sym: list(entries.values()) for sym, entries in mother_entries.items()}
 
     supported: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
 
@@ -317,14 +342,14 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
             return
         spend()
         supported[symbol].add(vec)
-        for positions, table in tables[symbol].items():
-            key = tuple(vec[p] for p in positions)
+        for project, table, wait in filings[symbol]:
+            key = project(vec)
             filed = table.get(key)
             if filed is not None:
                 filed.append(vec)
                 continue
             table[key] = [vec]
-            for cand in waiting[symbol][positions].pop(key, ()):
+            for cand in wait.pop(key, ()):
                 missing[cand] -= 1
                 if not missing[cand]:
                     ready.append(cand)
@@ -337,9 +362,9 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     while ready:
         cand = ready.pop()
         number = cand_rules[cand]
-        mother, mother_positions, mother_dims, free_spans, groups = plans[number]
+        mother, mother_positions, project, free_spans, groups = plans[number]
         values = cand_values[cand]
-        key = tuple(values[d] for d in mother_dims)
+        key = project(values)
         if key in groups:
             groups[key].append((number, values))
             continue
@@ -360,22 +385,20 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
     demanded[grammar.start] = set(supported[grammar.start])
     worklist: list[tuple[str, Vector]] = [(grammar.start, v) for v in demanded[grammar.start]]
     retained: list[list[Vector]] = [[] for _ in grammar.rules]
-    expanded: set[tuple[str, tuple[int, ...], Vector]] = set()
-    opened: set[tuple[str, tuple[int, ...], Vector]] = set()
     while worklist:
         symbol, vec = worklist.pop()
-        for positions, groups in fired[symbol].items():
-            key = tuple(vec[p] for p in positions)
-            if (symbol, positions, key) in expanded:
+        for project, groups, done in expansions[symbol]:
+            key = project(vec)
+            if key in done:
                 continue
-            expanded.add((symbol, positions, key))
+            done.add(key)
             for number, values in groups.get(key, ()):
                 retained[number].append(values)
-                for daughter, daughter_positions, picks, table in rule_daughters[number]:
-                    dkey = tuple(values[d] for d in picks)
-                    if (daughter, daughter_positions, dkey) in opened:
+                for daughter, pick, table, opened in rule_daughters[number]:
+                    dkey = pick(values)
+                    if dkey in opened:
                         continue
-                    opened.add((daughter, daughter_positions, dkey))
+                    opened.add(dkey)
                     seen = demanded[daughter]
                     for dvec in table[dkey]:
                         if dvec not in seen:

@@ -433,14 +433,17 @@ def oracle_enumerate(
 
     def extend(states, pattern, room, items, tables):
         """Match ``pattern`` against ``items``, reading their strings in
-        ``tables``; keep the strings no longer than ``room``."""
-        next_states = []
+        ``tables``; keep the strings no longer than ``room``. States with
+        equal bindings merge into one."""
+        next_states: dict[frozenset, tuple[dict, dict[int, set[tuple[str, ...]]]]] = {}
         for bindings, strings in states:
             for item in items:
                 extended = analyzer.match_item(pattern, item, bindings)
                 if extended is None:
                     continue
-                combined: dict[int, set[tuple[str, ...]]] = {}
+                key = frozenset(extended.items())
+                state = next_states.get(key)
+                combined = {} if state is None else state[1]
                 for table in tables:
                     for got_len, got in table.get(item, {}).items():
                         for have_len, have in strings.items():
@@ -449,9 +452,9 @@ def oracle_enumerate(
                                 continue
                             bucket = combined.setdefault(total, set())
                             bucket.update(p + s for p in have for s in got)
-                if combined:
-                    next_states.append((extended, combined))
-        return next_states
+                if combined and state is None:
+                    next_states[key] = (extended, combined)
+        return list(next_states.values())
 
     # Items per symbol that hold old strings, and that hold any strings.
     old_items: dict[str, list[_Item]] = {}

@@ -186,6 +186,8 @@ def test_bad_grammar_is_a_usage_error(tmp_path):
     [
         's -> a ;\na -> "x" "y"\nb -> "z" ;\n',
         's -> "x" ;\na -> "y" ;\nb -> ' + "( " * 400 + '"x"' + " )" * 400 + " ;\n",
+        's -> a ;\na -> "x"\n  b ;\n',
+        's -> "x" ;\nt -> s ;\ns -> "y" ;\n',
     ],
 )
 def test_bad_cfg_names_its_line(tmp_path, text):

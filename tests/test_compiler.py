@@ -29,7 +29,7 @@ from gramlm import (
     strip_features,
 )
 from gramlm.cfg import ContextFreeGrammar, Ref, Term, alt, seq
-from gramlm.compiler import _Index, rect_name
+from gramlm.compiler import _Index, _projector, rect_name
 from gramlm.grammar import constrained_features
 
 ALL_ASSETS = TOYS + SHUTTLES
@@ -176,6 +176,40 @@ def test_shuttle_instantiation_counts(name, retained):
     inst = compiled(name).inst
     assert sum(len(vectors) for vectors in inst.supported.values()) == 976
     assert sum(len(s.tuples) for s in inst.per_rule.values()) == retained
+
+
+@pytest.mark.parametrize("indices", [(), (1,), (0, 2), (2, 0), (1, 1), (3, 0, 3), (2, 1, 0)])
+def test_projector_returns_a_tuple_of_the_indexed_values(indices):
+    for values in (("a", "b", "c", "d"), ("sg", "pl", "x", "y")):
+        assert _projector(indices)(values) == tuple(values[i] for i in indices)
+
+
+def test_instantiation_keys_of_one_and_no_positions():
+    # NP is named by (n, c). The daughter NP of rule s2 fixes no position,
+    # the mothers of np and np2 fix one each, and vp's daughter NP fixes c
+    # alone; every key is then a 0- or 1-tuple.
+    g = parse_grammar(
+        """
+        feature n syn {sg, pl}
+        feature c syn {x, y}
+        start S
+        rule s: S -> NP:[n=X] VP:[n=X]
+        rule s2: S -> NP VP:[n=pl, c=y]
+        rule np: NP:[n=N] -> D:[n=N] N
+        rule np2: NP:[c=y] -> N N
+        rule vp: VP:[c=C, n=N] -> V:[n=N] NP:[c=C]
+        lex "d": D:[n=sg]
+        lex "ds": D:[n=pl]
+        lex "n": N
+        lex "v": V:[n=sg]
+        lex "vs": V:[n={sg, pl}]
+        """
+    )
+    result = compile_grammar(g)
+    assert sum(len(s.tuples) for s in result.inst.per_rule.values()) == 10
+    language = oracle_enumerate(g, 6)
+    assert len(language) == 15
+    assert cfg_enumerate(result.cfg, 6) == language
 
 
 # ---- emitted grammar vs the reference enumerator ----
@@ -419,6 +453,29 @@ def test_elimination_cap_counts_substituted_alternatives():
     assert leftmost_cycle_free(eliminate_left_recursion(cfg, cap=18))
     with pytest.raises(ResourceCapError, match="left-recursion alternatives"):
         eliminate_left_recursion(cfg, cap=17)
+
+
+def test_shared_eliminated_expressions_are_checked_once():
+    # Elimination shares subexpressions among this grammar's alternatives;
+    # checking references in the emitted CFG as a tree took over 20 s.
+    g = parse_grammar(
+        """
+        feature f syn {v0, v1, v2}
+        start S
+        rule r0: S:[f=v2] -> B:[f=Y] A:[f=Y]
+        rule r1: S:[f=Y] -> A:[f=X]
+        rule r2: A:[f=X] -> B:[f={v0,v1}] C
+        rule r3: B -> B:[f={v2,v0}] B
+        rule r4: B -> S:[f=X] B
+        lex "w0 x": A
+        lex "w1": B:[f=v1]
+        lex "w2": C:[f=v2]
+        """
+    )
+    started = time.perf_counter()
+    result = compile_grammar(g, cap_tuples=10**4)
+    assert time.perf_counter() - started < 5.0
+    assert len(result.cfg.productions) == 12
 
 
 def test_elimination_blowup_hits_the_cap_quickly():

@@ -21,6 +21,7 @@ from gramlm import (
     surface_tokens,
     validate,
 )
+from gramlm.cfg import ContextFreeGrammar, Ref, Star, Term, seq
 from gramlm.grammar import constrained_features
 
 ALL_ASSETS = TOYS + SHUTTLES
@@ -235,9 +236,23 @@ def test_cfg_nesting_is_capped_at_100_levels(nest):
         ('s -> "x" ;\n  -> "y" ;', "line 2: expected 'name', got '->'"),
         ('s -> "x" ;\nt -> | ;', "line 2: expected a terminal, name, or group, got '|'"),
         ('s -> "x" ;\nt -> "y" ! ;', "line 2: unexpected character '!'"),
+        ('s -> a ;\na -> "x"\n  b ;', "line 3: 'a' references undefined 'b'"),
+        ('s -> "x" ;\nt -> s ;\ns -> "y" ;', "line 3: duplicate production 's' (first on line 1)"),
     ],
 )
 def test_cfg_syntax_errors_name_the_line(text, message):
     with pytest.raises(GramlmError) as err:
         cfg_from_text(text)
     assert str(err.value) == message
+
+
+def test_cfg_checks_references_in_shared_nodes():
+    # Each distinct node is checked once; the first undefined reference in
+    # production order is the one reported.
+    shared = Star(seq([Ref("a"), Ref("b"), Ref("c")]))
+    with pytest.raises(GramlmError, match="^'s' references undefined 'b'$"):
+        ContextFreeGrammar("s", (("s", seq([Term("x"), shared])), ("a", seq([shared, shared]))))
+    with pytest.raises(GramlmError, match="^'a' references undefined 'b'$"):
+        ContextFreeGrammar("s", (("s", Term("x")), ("a", seq([shared, shared]))))
+    with pytest.raises(GramlmError, match="^duplicate production names$"):
+        ContextFreeGrammar("s", (("s", Term("x")), ("s", Term("y"))))
