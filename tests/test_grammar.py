@@ -247,8 +247,8 @@ def test_cfg_syntax_errors_name_the_line(text, message):
 
 
 def test_cfg_checks_references_in_shared_nodes():
-    # Each distinct node is checked once; the first undefined reference in
-    # production order is the one reported.
+    # A shared repetition is walked once, yet the first undefined reference
+    # in production order is still the one reported.
     shared = Star(seq([Ref("a"), Ref("b"), Ref("c")]))
     with pytest.raises(GramlmError, match="^'s' references undefined 'b'$"):
         ContextFreeGrammar("s", (("s", seq([Term("x"), shared])), ("a", seq([shared, shared]))))
