@@ -319,16 +319,16 @@ def oracle_enumerate(
 ) -> set[tuple[str, ...]]:
     """All token sequences of length <= max_len derivable from the start symbol.
 
-    Semi-naive evaluation over items. Each item's strings are held per
-    length in two tables: ``old``, held before the previous pass, and
-    ``delta``, gained in it. The lexicon seeds the first delta. Every pass
-    re-derives a rule once per daughter position k whose symbol has items
-    that gained strings: position k matches only those items and reads
-    their delta, positions before k read ``old`` and positions after k read
-    everything held. These sets of derivations are disjoint and together
-    cover every derivation that uses a string gained in the previous pass,
-    so nothing already concatenated is concatenated again. The loop stops
-    when a pass gains nothing.
+    Evaluation by length over items. For n = 1, 2, ..., max_len each item's
+    strings of length n are built once: lexical entries of n tokens seed
+    them, and each rule of two or more daughters concatenates daughter
+    strings whose lengths sum to n. Every lexeme has a token, so each of
+    those daughters yields fewer than n and reads only lengths already
+    complete; items are indexed by (symbol, length), so a daughter is
+    matched only against items that hold the length it takes. A rule of one
+    daughter reads strings of the length it builds; those are settled by a
+    worklist within the length, in which each string an item gains at
+    length n passes through the unit rules once, so unit cycles end.
 
     Each symbol has a length budget: ``max_len`` less the least yield of
     any context it has under the start symbol, counted over symbols. An
@@ -342,29 +342,6 @@ def oracle_enumerate(
     exceeding the cap raises :class:`ResourceCapError`.
     """
     analyzer = _Analyzer(grammar)
-    stored = 0
-
-    # old/delta/fresh[item][length] -> set of token tuples
-    Table = dict[_Item, dict[int, set[tuple[str, ...]]]]
-    old: Table = {}
-    delta: Table = {}
-    fresh: Table = {}
-
-    def keep(item: _Item, strings: dict[int, set[tuple[str, ...]]]) -> None:
-        nonlocal stored
-        held_old = old.get(item, {})
-        held_delta = delta.get(item, {})
-        for length, bucket in strings.items():
-            new = bucket.difference(
-                held_old.get(length, ()),
-                held_delta.get(length, ()),
-                fresh.get(item, {}).get(length, ()),
-            )
-            if new:
-                stored += len(new)
-                if stored > cap:
-                    raise ResourceCapError("enumerated strings", cap)
-                fresh.setdefault(item, {}).setdefault(length, set()).update(new)
 
     # Minimum yield per symbol prunes hopeless daughter suffixes.
     min_yield: dict[str, int] = {}
@@ -411,94 +388,119 @@ def oracle_enumerate(
                     need = suffix_min[idx] - suffix_min[idx + 1]
                     heapq.heappush(heap, (over - need, daughter.symbol))
 
+    # The lexical items per surface length, within their symbol's budget.
+    lexemes: dict[int, list[tuple[_Item, tuple[str, ...]]]] = {}
     for entry in grammar.lexicon:
-        if len(entry.surface) > budget.get(entry.category.symbol, -1):
-            continue
-        for fmap in analyzer.lexical_items(entry.category):
-            keep(_Item(entry.category.symbol, fmap), {len(entry.surface): {entry.surface}})
+        symbol = entry.category.symbol
+        if len(entry.surface) <= budget.get(symbol, -1):
+            for fmap in analyzer.lexical_items(entry.category):
+                lexemes.setdefault(len(entry.surface), []).append((_Item(symbol, fmap), entry.surface))
 
-    # A rule's room[idx] is the longest its first idx daughters may yield:
-    # the mother's budget less the least yield of the rest.
-    rules: list[tuple[Rule, list[Pattern], list[int]]] = []
-    users: dict[str, set[int]] = {}
+    # The rules that fit their mother's budget: those of two or more
+    # daughters as (rule, patterns, least yield of each suffix, budget);
+    # those of one daughter per daughter symbol as (rule, pattern, budget).
+    rules: list[tuple[Rule, list[Pattern], list[int], int]] = []
+    units: dict[str, list[tuple[Rule, Pattern, int]]] = {}
     for mother, fitting in options.items():
         limit = budget.get(mother, -1)
         for rule, suffix_min in fitting:
             if suffix_min[0] > limit:
                 continue
-            for daughter in rule.daughters:
-                users.setdefault(daughter.symbol, set()).add(len(rules))
-            room = [limit - need for need in suffix_min]
-            rules.append((rule, analyzer.patterns[rule.id], room))
+            patterns = analyzer.patterns[rule.id]
+            if len(patterns) == 1:
+                units.setdefault(patterns[0][0], []).append((rule, patterns[0], limit))
+            else:
+                rules.append((rule, patterns, suffix_min, limit))
 
-    def extend(states, pattern, room, items, tables):
-        """Match ``pattern`` against ``items``, reading their strings in
-        ``tables``; keep the strings no longer than ``room``. States with
-        equal bindings merge into one."""
-        next_states: dict[frozenset, tuple[dict, dict[int, set[tuple[str, ...]]]]] = {}
-        for bindings, strings in states:
-            for item in items:
-                extended = analyzer.match_item(pattern, item, bindings)
-                if extended is None:
-                    continue
-                key = frozenset(extended.items())
-                state = next_states.get(key)
-                combined = {} if state is None else state[1]
-                for table in tables:
-                    for got_len, got in table.get(item, {}).items():
-                        for have_len, have in strings.items():
-                            total = have_len + got_len
-                            if total > room:
+    # strings[item][n]: the item's strings of length n; held[symbol][n]: the
+    # items of the symbol that hold strings of length n; longest[symbol]:
+    # the longest length its items hold.
+    strings: dict[_Item, dict[int, set[tuple[str, ...]]]] = {}
+    held: dict[str, dict[int, list[_Item]]] = {}
+    longest: dict[str, int] = {}
+    stored = 0
+    # Strings gained at the current length by items with unit rules.
+    pending: dict[_Item, set[tuple[str, ...]]] = {}
+
+    def keep(item: _Item, n: int, got: set[tuple[str, ...]]) -> None:
+        nonlocal stored
+        buckets = strings.setdefault(item, {})
+        bucket = buckets.get(n)
+        if bucket is None:
+            new = bucket = buckets[n] = set(got)  # ``got`` may be held elsewhere
+            held.setdefault(item.symbol, {}).setdefault(n, []).append(item)
+            longest[item.symbol] = n
+        else:
+            new = got - bucket
+            bucket |= new
+        if new:
+            stored += len(new)
+            if stored > cap:
+                raise ResourceCapError("enumerated strings", cap)
+            if item.symbol in units:
+                queued = pending.get(item)
+                if queued is None:
+                    pending[item] = new
+                elif queued is not bucket:
+                    queued |= new
+
+    for n in range(1, max_len + 1):
+        for item, surface in lexemes.get(n, ()):
+            keep(item, n, {surface})
+        for rule, patterns, suffix_min, limit in rules:
+            if not suffix_min[0] <= n <= limit:
+                continue
+            # The longest each suffix of the daughters yields so far.
+            reach = [0] * (len(patterns) + 1)
+            for idx in range(len(patterns) - 1, -1, -1):
+                reach[idx] = reach[idx + 1] + longest.get(patterns[idx][0], 0)
+            if reach[0] < n:
+                continue
+            # Partial matches as (bindings, strings by length); those with
+            # equal bindings merge into one.
+            states: list[tuple[dict, dict[int, set[tuple[str, ...]]]]] = [({}, {0: {()}})]
+            for idx, pattern in enumerate(patterns):
+                # What the rest of the daughters can still yield bounds the
+                # length of the match so far.
+                low, high = n - reach[idx + 1], n - suffix_min[idx + 1]
+                next_states: dict[frozenset, tuple[dict, dict[int, set[tuple[str, ...]]]]] = {}
+                for bindings, prefixes in states:
+                    for got_len, items in held.get(pattern[0], {}).items():
+                        fits = [(length, p) for length, p in prefixes.items() if low <= length + got_len <= high]
+                        if not fits:
+                            continue
+                        for item in items:
+                            extended = analyzer.match_item(pattern, item, bindings)
+                            if extended is None:
                                 continue
-                            bucket = combined.setdefault(total, set())
-                            bucket.update(p + s for p in have for s in got)
-                if combined and state is None:
-                    next_states[key] = (extended, combined)
-        return list(next_states.values())
+                            key = frozenset(extended.items())
+                            state = next_states.get(key)
+                            if state is None:
+                                state = next_states[key] = (extended, {})
+                            got = strings[item][got_len]
+                            for length, p in fits:
+                                bucket = state[1].setdefault(length + got_len, set())
+                                if length:
+                                    bucket.update(a + b for a in p for b in got)
+                                else:
+                                    bucket.update(got)
+                states = list(next_states.values())
+                if not states:
+                    break
+            for bindings, built in states:
+                for fmap in analyzer.mother_items(rule, bindings):
+                    keep(_Item(rule.mother.symbol, fmap), n, built[n])
+        while pending:
+            item, got = pending.popitem()
+            for rule, pattern, limit in units[item.symbol]:
+                if n > limit:
+                    continue
+                bindings = analyzer.match_item(pattern, item, {})
+                if bindings is not None:
+                    for fmap in analyzer.mother_items(rule, bindings):
+                        keep(_Item(rule.mother.symbol, fmap), n, got)
 
-    # Items per symbol that hold old strings, and that hold any strings.
-    old_items: dict[str, list[_Item]] = {}
-    held_items: dict[str, list[_Item]] = {}
-    while True:
-        for item, buckets in delta.items():
-            held = old.get(item)
-            if held is None:
-                held = old[item] = {}
-                old_items.setdefault(item.symbol, []).append(item)
-            for length, bucket in buckets.items():
-                held.setdefault(length, set()).update(bucket)
-        if not fresh:
-            break
-        delta, fresh = fresh, {}
-        delta_items: dict[str, list[_Item]] = {}
-        for item in delta:
-            delta_items.setdefault(item.symbol, []).append(item)
-            if item not in old:
-                held_items.setdefault(item.symbol, []).append(item)
-        todo = sorted({idx for symbol in delta_items for idx in users.get(symbol, ())})
-        for rule, patterns, room in map(rules.__getitem__, todo):
-            last = max(k for k, (symbol, _) in enumerate(patterns) if symbol in delta_items)
-            prefix: list[tuple[dict, dict[int, set[tuple[str, ...]]]]] = [({}, {0: {()}})]
-            for k in range(last + 1):
-                symbol = patterns[k][0]
-                if symbol in delta_items:
-                    states = extend(prefix, patterns[k], room[k + 1], delta_items[symbol], (delta,))
-                    for idx in range(k + 1, len(patterns)):
-                        if not states:
-                            break
-                        after = held_items.get(patterns[idx][0], ())
-                        states = extend(states, patterns[idx], room[idx + 1], after, (old, delta))
-                    for bindings, strings in states:
-                        for fmap in analyzer.mother_items(rule, bindings):
-                            keep(_Item(rule.mother.symbol, fmap), strings)
-                if k < last:
-                    prefix = extend(prefix, patterns[k], room[k + 1], old_items.get(symbol, ()), (old,))
-                    if not prefix:
-                        break
-
-    result: set[tuple[str, ...]] = set()
-    for item, buckets in old.items():
-        if item.symbol == grammar.start:
-            for bucket in buckets.values():
-                result.update(bucket)
-    return result
+    # Free the other items' strings before the result is built.
+    found = [bucket for item, buckets in strings.items() if item.symbol == grammar.start for bucket in buckets.values()]
+    strings.clear()
+    return set().union(*found)

@@ -617,16 +617,15 @@ def cfg_enumerate(
 ) -> set[tuple[str, ...]]:
     """All strings of length <= max_len in the grammar's language.
 
-    Semi-naive evaluation. Each symbol's strings are held per length in two
-    tables: ``old``, held before the previous pass, and ``delta``, gained in
-    it. The first pass derives from the all-terminal alternatives only.
-    Every later pass re-derives an alternative once per reference position
-    k whose referent gained strings: position k reads only that delta,
-    positions before k read ``old`` and positions after k read everything
-    held. These sets of derivations are disjoint and together cover every
-    derivation that uses a string gained in the previous pass, so nothing
-    already concatenated is concatenated again. The loop stops when a pass
-    gains nothing.
+    Evaluation by length. For n = 0, 1, ..., max_len each production's
+    strings of length n are built once, from the strings of its
+    alternatives' symbols whose lengths sum to n. A concatenation in which
+    every reference yields fewer than n tokens reads only lengths already
+    complete. A reference yields all n only in a unit alternative: one
+    reference whose siblings are all nullable, as a repetition of a
+    nullable body writes. Those are settled by a worklist within the
+    length: each string a production gains at length n passes through its
+    unit alternatives once, so unit cycles end.
 
     Each production has a length budget: ``max_len`` less the least yield
     of any context it has in a derivation from the start symbol. Only its
@@ -654,98 +653,105 @@ def cfg_enumerate(
                 options.setdefault((_REF, name), []).append((symbols, tail_min))
     budget = _budgets(options, (_REF, grammar.start), max_len)
 
-    # old/delta/fresh[symbol][length] -> strings; a terminal holds its word
-    # in ``old`` from the start and never gains anything.
-    Table = dict[Symbol, dict[int, set[tuple[str, ...]]]]
-    old: Table = {}
-    delta: Table = {}
-    fresh: Table = {}
-    stored = 0
-
-    # An alternative's room[idx] is the longest its first idx symbols may
-    # yield: the mother's budget less the least yield of the rest.
-    alternatives: list[tuple[Symbol, tuple[Symbol, ...], list[int]]] = []
-    users: dict[Symbol, set[int]] = {}
+    # lang[symbol][n]: the symbol's strings of length n; a terminal holds
+    # its word at length 1. longest[symbol]: the longest length it holds.
+    lang: dict[Symbol, dict[int, set[tuple[str, ...]]]] = {}
+    longest: dict[Symbol, int] = {}
+    # The alternatives that fit their mother's budget. words[n][mother]
+    # holds the strings of those of n terminals. Those with references are
+    # listed as (mother, symbols, least yield of each suffix, budget), less
+    # the single references, which never concatenate shorter strings.
+    # units[ref] lists the alternatives in which ``ref`` may yield all n, as
+    # (mother, budget, siblings).
+    words: dict[int, dict[Symbol, set[tuple[str, ...]]]] = {}
+    alternatives: list[tuple[Symbol, tuple[Symbol, ...], list[int], int]] = []
+    units: dict[Symbol, list[tuple[Symbol, int, tuple[Symbol, ...]]]] = {}
     for mother, alts in options.items():
         limit = budget.get(mother, -1)
         for symbols, tail_min in alts:
             if tail_min[0] > limit:
                 continue
-            for symbol in symbols:
-                if symbol[0] == _TERM:
-                    old[symbol] = {1: {(symbol[1],)}}
-                else:
-                    users.setdefault(symbol, set()).add(len(alternatives))
-            alternatives.append((mother, symbols, [limit - need for need in tail_min]))
-
-    def extend(partial, got, room):
-        """Append each of ``got`` to each partial string, keeping those no
-        longer than ``room``."""
-        grown: dict[int, set[tuple[str, ...]]] = {}
-        for got_len, got_strings in got:
-            for length, strings in partial.items():
-                total = length + got_len
-                if total > room:
-                    continue
-                grown.setdefault(total, set()).update(
-                    p + s for p in strings for s in got_strings
-                )
-        return grown
-
-    def keep(symbol, partial) -> None:
-        nonlocal stored
-        held_old = old.get(symbol, {})
-        held_delta = delta.get(symbol, {})
-        for length, strings in partial.items():
-            new = strings.difference(
-                held_old.get(length, ()),
-                held_delta.get(length, ()),
-                fresh.get(symbol, {}).get(length, ()),
-            )
-            if new:
-                stored += len(new)
-                if stored > cap:
-                    raise ResourceCapError("enumerated strings", cap)
-                fresh.setdefault(symbol, {}).setdefault(length, set()).update(new)
-
-    for mother, symbols, room in alternatives:
-        if all(kind == _TERM for kind, _ in symbols):
-            partial = {0: {()}}
+            if all(kind == _TERM for kind, _ in symbols):
+                string = tuple(word for _, word in symbols)
+                words.setdefault(len(string), {}).setdefault(mother, set()).add(string)
+                continue
             for idx, symbol in enumerate(symbols):
-                partial = extend(partial, old[symbol].items(), room[idx + 1])
-            keep(mother, partial)
+                if symbol[0] == _TERM:
+                    lang[symbol] = {1: {(symbol[1],)}}
+                    longest[symbol] = 1
+                elif tail_min[0] == min_yield[symbol[1]]:
+                    units.setdefault(symbol, []).append((mother, limit, symbols[:idx] + symbols[idx + 1 :]))
+            if len(symbols) > 1:
+                alternatives.append((mother, symbols, tail_min, limit))
 
-    while True:
-        for symbol, buckets in delta.items():
-            held = old.setdefault(symbol, {})
-            for length, strings in buckets.items():
-                held.setdefault(length, set()).update(strings)
-        if not fresh:
-            break
-        delta, fresh = fresh, {}
-        todo = sorted({idx for symbol in delta for idx in users.get(symbol, ())})
-        for mother, symbols, room in map(alternatives.__getitem__, todo):
-            last = max(k for k, symbol in enumerate(symbols) if symbol in delta)
-            prefix = {0: {()}}  # old strings of the positions before k
-            for k, symbol in enumerate(symbols[: last + 1]):
-                if symbol in delta:
-                    partial = extend(prefix, delta[symbol].items(), room[k + 1])
-                    for idx in range(k + 1, len(symbols)):
-                        if not partial:
-                            break
-                        after = symbols[idx]
-                        got = [*old.get(after, {}).items(), *delta.get(after, {}).items()]
-                        partial = extend(partial, got, room[idx + 1])
-                    keep(mother, partial)
-                if k < last:
-                    prefix = extend(prefix, old.get(symbol, {}).items(), room[k + 1])
-                    if not prefix:
-                        break
+    stored = 0
+    # Strings gained at the current length by symbols with unit alternatives.
+    pending: dict[Symbol, set[tuple[str, ...]]] = {}
 
-    result: set[tuple[str, ...]] = set()
-    for bucket in old.get((_REF, grammar.start), {}).values():
-        result.update(bucket)
-    return result
+    def keep(symbol: Symbol, n: int, got: set[tuple[str, ...]]) -> None:
+        nonlocal stored
+        buckets = lang.setdefault(symbol, {})
+        bucket = buckets.get(n)
+        if bucket is None:
+            new = bucket = buckets[n] = set(got)  # ``got`` may be held elsewhere
+            longest[symbol] = n
+        else:
+            new = got - bucket
+            bucket |= new
+        if new:
+            stored += len(new)
+            if stored > cap:
+                raise ResourceCapError("enumerated strings", cap)
+            if symbol in units:
+                queued = pending.get(symbol)
+                if queued is None:
+                    pending[symbol] = new
+                elif queued is not bucket:
+                    queued |= new
+
+    for n in range(max_len + 1):
+        for mother, strings in words.get(n, {}).items():
+            keep(mother, n, strings)
+        for mother, symbols, tail_min, limit in alternatives:
+            if not tail_min[0] <= n <= limit or sum(longest.get(symbol, 0) for symbol in symbols) < n:
+                continue
+            # partial[length]: strings of the symbols so far, in which no
+            # reference takes all n.
+            partial: dict[int, set[tuple[str, ...]]] = {0: {()}}
+            for idx, symbol in enumerate(symbols[:-1]):
+                room = n - tail_min[idx + 1]
+                grown: dict[int, set[tuple[str, ...]]] = {}
+                for got_len, got in lang.get(symbol, {}).items():
+                    if got_len == n and symbol[0] == _REF:
+                        continue
+                    for length, prefixes in partial.items():
+                        total = length + got_len
+                        if total > room:
+                            continue
+                        if idx == 0:  # the empty prefix: share the set
+                            grown[total] = got
+                        else:
+                            grown.setdefault(total, set()).update(p + s for p in prefixes for s in got)
+                partial = grown
+            last = symbols[-1]
+            held = lang.get(last, {})
+            strings: set[tuple[str, ...]] = set()
+            for length, prefixes in partial.items():
+                got = held.get(n - length)
+                if got and (length or last[0] == _TERM):
+                    strings.update(p + s for p in prefixes for s in got)
+            if strings:
+                keep(mother, n, strings)
+        while pending:
+            symbol, got = pending.popitem()
+            for mother, limit, siblings in units[symbol]:
+                if n <= limit and all(0 in lang.get(sibling, ()) for sibling in siblings):
+                    keep(mother, n, got)
+
+    # Free the other symbols' strings before the result is built.
+    buckets = lang.get((_REF, grammar.start), {})
+    lang.clear()
+    return set().union(*buckets.values())
 
 
 def pfsg_enumerate(

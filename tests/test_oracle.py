@@ -5,12 +5,15 @@ enumeration and then frozen; the compiled pipeline is tested against the
 same sets elsewhere, so a drift in either side trips a test.
 """
 
+import itertools
+
 import pytest
 from conftest import TOYS, grammar
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_compiler import _feature_grammars
 
-from gramlm import UnknownTokenError, oracle_enumerate, oracle_parse, parse_grammar
+from gramlm import ResourceCapError, UnknownTokenError, oracle_enumerate, oracle_parse, parse_grammar
 
 TINY_LANGUAGE = {("the", "dog", "barks"), ("the", "dogs", "bark")}
 
@@ -135,6 +138,45 @@ def test_max_derivations_truncates_trees_not_count():
     result = oracle_parse(g, ["alpha", "alpha"], max_derivations=0)
     assert result.accepted and result.derivation_count == 1
     assert result.derivations == []
+
+
+# A and B derive each other through unit rules, so an item's strings of a
+# length are read by another item at that same length. B:[n=sg] is reached
+# only through the cycle; "two" is plural and never reaches S.
+UNIT_CYCLE_GRAMMAR = """
+feature n syn {sg, pl}
+start S
+rule s: S -> A:[n=sg]
+rule ab: A:[n=X] -> B:[n=X]
+rule ba: B:[n=X] -> A:[n=X]
+rule grow: B:[n=X] -> C A:[n=X]
+lex "one": A:[n=sg]
+lex "two": B:[n=pl]
+lex "and": C
+"""
+
+
+def test_enumeration_through_a_unit_cycle():
+    g = parse_grammar(UNIT_CYCLE_GRAMMAR)
+    assert oracle_enumerate(g, 4) == {("and",) * k + ("one",) for k in range(4)}
+    assert oracle_enumerate(g, 4, cap=21)
+    with pytest.raises(ResourceCapError):
+        oracle_enumerate(g, 4, cap=20)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=_feature_grammars())
+def test_enumeration_matches_the_parser_on_random_feature_grammars(text):
+    """Every string of at most 3 tokens over the lexicon is enumerated
+    exactly when the parser accepts it. The grammars are not compiled, so
+    unit cycles and grammars that compile rejects are included;
+    ``oracle_parse`` is the reference."""
+    g = parse_grammar(text)
+    lang = oracle_enumerate(g, 3)
+    vocab = sorted({tok for entry in g.lexicon for tok in entry.surface})
+    for n in range(1, 4):
+        for tokens in itertools.product(vocab, repeat=n):
+            assert oracle_parse(g, tokens).accepted == (tokens in lang), tokens
 
 
 @pytest.mark.parametrize("name", TOYS)

@@ -319,6 +319,22 @@ def test_enumeration_stores_only_what_fits_the_least_context():
         oracle_enumerate(g, 6, cap=9)
 
 
+# The outer repetition's body is itself nullable, so in the plain grammar
+# the outer star production has the empty alternative and unit
+# alternatives through the inner one: strings of a length are read at that
+# same length, and the empty string is derived at length 0.
+NULLABLE_STAR_CFG = cfg_from_text('s -> "a" ( ( "b" )* )* ;')
+
+
+def test_enumeration_through_a_nullable_repetition():
+    """s stores a, ab and abb; the outer star production (), b and bb
+    within its budget of 2; the inner one b and bb."""
+    assert cfg_enumerate(NULLABLE_STAR_CFG, 3) == {("a",), ("a", "b"), ("a", "b", "b")}
+    assert cfg_enumerate(NULLABLE_STAR_CFG, 3, cap=8)
+    with pytest.raises(ResourceCapError):
+        cfg_enumerate(NULLABLE_STAR_CFG, 3, cap=7)
+
+
 def test_library_string_caps_match_the_command_line():
     check = _build_parser().parse_args(["check", "g.gram", "--max-len", "1"])
     for enumerate_strings in (cfg_enumerate, pfsg_enumerate, oracle_enumerate):
