@@ -15,15 +15,16 @@ is a 0.5 skip / 0.5 enter choice over a fresh one-or-more production. Those
 are the graph's loop masses, so the graph and the grammar assign every
 string the same probability. :func:`cfg_parse` scores a sentence with one
 Earley pass, carrying probabilities with a binary exponent so that long
-sentences do not underflow; :func:`perplexity` builds the parse tables
-once for its whole corpus. :func:`cfg_enumerate` and :func:`pfsg_enumerate`
+sentences do not underflow. Its tables are built per call, and the Earley
+positions only for the productions the sentence predicts; :func:`perplexity`
+keeps one set of tables for its whole corpus, growing them as its sentences
+predict more. :func:`cfg_enumerate` and :func:`pfsg_enumerate`
 list the strings of the grammar and of the graphs up to a length, in
 separate code so that each checks the other.
 """
 
 from __future__ import annotations
 
-import graphlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -338,15 +339,35 @@ class _PlainGrammar:
     productions: dict[str, list[tuple[tuple[Symbol, ...], float]]]
 
 
+def _flat(expr: Expr) -> Optional[tuple[Symbol, ...]]:
+    """The symbols of a term, a reference or a sequence of them; None for
+    any other shape."""
+    symbols = []
+    for item in expr.items if isinstance(expr, Seq) else (expr,):
+        if isinstance(item, Term):
+            symbols.append((_TERM, item.token))
+        elif isinstance(item, Ref):
+            symbols.append((_REF, item.name))
+        else:
+            return None
+    return tuple(symbols)
+
+
 def _expand(expr: Expr, fresh: dict[str, list], prefix: str) -> list[tuple[tuple[Symbol, ...], float]]:
-    """Weighted star-free alternative symbol lists for an expression."""
-    if isinstance(expr, Term):
-        return [(((_TERM, expr.token),), 1.0)]
-    if isinstance(expr, Ref):
-        return [(((_REF, expr.name),), 1.0)]
+    """Weighted star-free alternative symbol lists for an expression.
+
+    Flat options, the only ones emit writes, are read without recursion.
+    """
+    symbols = _flat(expr)
+    if symbols is not None:
+        return [(symbols, 1.0)]
     if isinstance(expr, Alt):
         out = []
         for option in expr.options:
+            symbols = _flat(option)
+            if symbols is not None:
+                out.append((symbols, 1.0 / len(expr.options)))
+                continue
             for symbols, weight in _expand(option, fresh, prefix):
                 out.append((symbols, weight / len(expr.options)))
         return out
@@ -463,12 +484,54 @@ def _add(table: dict, key, count: int, mantissa: float, exponent: int, cap: int)
 
 
 def _unit_ranks(units: dict[str, list[str]]) -> dict[str, int]:
-    """Rank each production above those it has unit alternatives for."""
-    try:
-        order = graphlib.TopologicalSorter(units).static_order()
-        return {name: rank for rank, name in enumerate(order)}
-    except graphlib.CycleError as err:
-        raise CompileError(f"unit cycle {' -> '.join(err.args[1])}") from None
+    """Rank each production above those it has unit alternatives for.
+
+    Kahn's algorithm, first in first out from the productions in the order
+    ``units`` names them, which gives the ranks of graphlib's
+    ``static_order``. A cycle raises :class:`CompileError` naming the one
+    graphlib names.
+    """
+    waiting: dict[str, int] = {}  # unit daughters not yet ranked
+    mothers: dict[str, list[str]] = {}  # productions with a unit alternative for it
+    for name, daughters in units.items():
+        waiting[name] = waiting.get(name, 0) + len(daughters)
+        mothers.setdefault(name, [])
+        for daughter in daughters:
+            waiting.setdefault(daughter, 0)
+            mothers.setdefault(daughter, []).append(name)
+    order = [name for name, count in waiting.items() if not count]
+    for name in order:  # grows as it is walked
+        for mother in mothers[name]:
+            waiting[mother] -= 1
+            if not waiting[mother]:
+                order.append(mother)
+    if len(order) < len(waiting):
+        raise CompileError(f"unit cycle {' -> '.join(_first_cycle(mothers))}")
+    return {name: rank for rank, name in enumerate(order)}
+
+
+def _first_cycle(edges: dict[str, list[str]]) -> list[str]:
+    """The first cycle a depth-first walk along ``edges`` closes, trying the
+    nodes in order, written from where it closes back to that node."""
+    seen: set[str] = set()
+    for root in edges:
+        if root in seen:
+            continue
+        seen.add(root)
+        path, depth, branches = [root], {root: 0}, [iter(edges[root])]
+        while branches:
+            node = next(branches[-1], None)
+            if node is None:
+                del depth[path.pop()]
+                branches.pop()
+            elif node in depth:
+                return path[depth[node] :] + [node]
+            elif node not in seen:
+                seen.add(node)
+                depth[node] = len(path)
+                path.append(node)
+                branches.append(iter(edges[node]))
+    raise AssertionError("no cycle")
 
 
 class _Earley:
@@ -480,37 +543,57 @@ class _Earley:
     carried as a mantissa and a binary exponent so that no sentence length
     underflows. Scaling by powers of two is exact, so the result is the one
     plain floats give wherever they do not underflow.
+
+    The plain grammar, the left-corner tables and the unit ranks are built
+    up front, so that any error the grammar has is raised before a token is
+    read; the tables read only each alternative's first symbol and length.
+    A production's positions are built the first time a column predicts it,
+    and then kept, so a parse builds those of the productions its sentence
+    predicts and numbers them in the order it predicts them.
     """
 
     def __init__(self, cfg: ContextFreeGrammar):
         grammar = _plain_grammar(cfg)
         self.start = grammar.start
+        self.productions = grammar.productions
         self.lhs: list[str] = []
         # What the position waits on: a production name, or a terminal as
         # its (_TERM, word) symbol so that the two cannot collide.
         self.wants: list[object] = []
         self.after: list[int] = []  # position past the next symbol; -1 completes
-        self.rules: dict[str, list[tuple[int, float]]] = {}  # first position, weight
+        self.rules: dict[str, list[tuple[int, float]]] = {}  # first position, weight; once predicted
         self.starts_with: dict[str, set[str]] = {}  # word -> productions
         self.left_parents: dict[str, set[str]] = {}  # production -> productions
         self.starters: dict[str, set[str]] = {}  # word -> its FIRST set's owners
         units: dict[str, list[str]] = {}
         for name, alternatives in grammar.productions.items():
-            self.rules[name], units[name] = [], []
-            for symbols, weight in alternatives:
+            units[name] = []
+            for symbols, _ in alternatives:
                 if not symbols:
                     continue  # only a star over an empty-admitting body makes one
-                self.rules[name].append((len(self.lhs), weight))
-                for dot, (kind, value) in enumerate(symbols, start=1):
-                    self.lhs.append(name)
-                    self.wants.append(value if kind == _REF else (kind, value))
-                    self.after.append(len(self.lhs) if dot < len(symbols) else -1)
                 kind, value = symbols[0]
                 corner = self.starts_with if kind == _TERM else self.left_parents
                 corner.setdefault(value, set()).add(name)
                 if len(symbols) == 1 and kind == _REF:
                     units[name].append(value)
         self.rank = _unit_ranks(units)
+
+    def _rules(self, name: str) -> list[tuple[int, float]]:
+        """The production's rules, as first position and weight, with their
+        positions built on the first call."""
+        rules = self.rules.get(name)
+        if rules is None:
+            rules = self.rules[name] = []
+            lhs, wants, after = self.lhs, self.wants, self.after
+            for symbols, weight in self.productions[name]:
+                if not symbols:
+                    continue
+                rules.append((len(lhs), weight))
+                for dot, (kind, value) in enumerate(symbols, start=1):
+                    lhs.append(name)
+                    wants.append(value if kind == _REF else (kind, value))
+                    after.append(len(lhs) if dot < len(symbols) else -1)
+        return rules
 
     def _column(self, k: int, items: dict, word: str, wanted: Iterable[str]) -> dict:
         """Index column k's items by what they wait on, and predict the rules
@@ -533,7 +616,7 @@ class _Earley:
         stack = [name for name in dict.fromkeys([*waiting, *wanted]) if name in starters]
         seen = set(stack)
         while stack:
-            for pos, weight in self.rules[stack.pop()]:
+            for pos, weight in self._rules(stack.pop()):
                 want = self.wants[pos]
                 if want == scanned or want in starters:
                     waiting.setdefault(want, []).append((pos, k, 1, weight, 0))
@@ -599,15 +682,17 @@ def cfg_parse(
     """Weighted recognition: derivation count and total inside probability.
 
     One Earley pass over the plain grammar gives both. Only rules whose
-    FIRST set holds the next word are predicted. The spans ending at a word
-    are completed by origin, narrowest first, and unit chains in
-    topological order; a unit cycle raises :class:`CompileError` (compiled
-    models have none, as left recursion is eliminated). Counts are capped at
-    every step, which gives min(true count, ``count_cap``). Probabilities
-    carry a binary exponent, so long sentences do not underflow; they are
-    reported in log2. Unknown tokens make the sentence out-of-language (an
-    ordinary rejection), which is the behavior perplexity's exclusion rule
-    needs.
+    FIRST set holds the next word are predicted, and the tables built for
+    the call hold positions only for the productions predicted. The spans
+    ending at a word are completed by origin, narrowest first, and unit
+    chains in topological order. A unit cycle, or a production that admits
+    the empty string, raises :class:`CompileError` before any token is read
+    (compiled models have no unit cycle, as left recursion is eliminated).
+    Counts are capped at every step, which gives min(true count,
+    ``count_cap``). Probabilities carry a binary exponent, so long sentences
+    do not underflow; they are reported in log2. Unknown tokens make the
+    sentence out-of-language (an ordinary rejection), which is the behavior
+    perplexity's exclusion rule needs.
     """
     return _Earley(cfg).parse(tokens, count_cap)
 

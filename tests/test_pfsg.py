@@ -1,5 +1,6 @@
 """Graph models: construction, normalization, metrics, parsing, perplexity."""
 
+import graphlib
 import inspect
 import itertools
 import math
@@ -34,7 +35,7 @@ from gramlm.cfg import Alt, Ref, Star, Term, alt, seq
 from gramlm.cli import _build_parser
 from gramlm.errors import CAP_STRINGS
 from gramlm.grammar import surface_tokens
-from gramlm.pfsg import _category_of
+from gramlm.pfsg import _category_of, _Earley, _unit_ranks
 
 ALL_ASSETS = TOYS + SHUTTLES
 
@@ -176,9 +177,163 @@ def test_count_cap_saturates_at_the_cap(cap, count):
 
 
 def test_unit_cycle_is_a_compile_error():
-    cfg = cfg_from_text('a -> b | "x" ; b -> a ;')
-    with pytest.raises(CompileError, match="unit cycle"):
-        cfg_parse(cfg, ["x"])
+    """At the first call, even when the tokens reach no production."""
+    for text, cycle in [
+        ('a -> b | "x" ; b -> a ;', "a -> b -> a"),
+        ('s -> a ; a -> b | "x" ; b -> c ; c -> a | "y" ;', "a -> c -> b -> a"),
+    ]:
+        for tokens in (["x"], ["zzz"]):
+            with pytest.raises(CompileError) as caught:
+                cfg_parse(cfg_from_text(text), tokens)
+            assert str(caught.value) == f"unit cycle {cycle}"
+
+
+@pytest.mark.parametrize(
+    "text,name", [('s -> "a" | ( "b" )* ;', "s"), ('s -> "a" ; t -> ( "b" )* ;', "t")]
+)
+def test_parse_of_a_grammar_with_an_empty_production_raises(text, name):
+    """At the first call, even for an unknown token and an unreachable
+    production: positions are built lazily, errors are not."""
+    with pytest.raises(CompileError, match=f"production '{name}' admits the empty string"):
+        cfg_parse(cfg_from_text(text), ["zzz"])
+
+
+@st.composite
+def _unit_graphs(draw):
+    """Unit alternatives as ``units`` maps them: production -> daughters,
+    cyclic or, half the time, only downhill in the alphabet."""
+    names = st.sampled_from("abcdefg")
+    units = draw(st.dictionaries(names, st.lists(names, max_size=3), max_size=7))
+    if draw(st.booleans()):
+        units = {name: [d for d in daughters if d < name] for name, daughters in units.items()}
+    return units
+
+
+@settings(max_examples=300, deadline=None)
+@given(units=_unit_graphs())
+def test_unit_ranks_are_graphlib_static_order(units):
+    """graphlib is the reference: the same ranks, or the same cycle named."""
+    try:
+        order = graphlib.TopologicalSorter(units).static_order()
+        want = {name: rank for rank, name in enumerate(order)}
+    except graphlib.CycleError as err:
+        with pytest.raises(CompileError) as caught:
+            _unit_ranks(units)
+        assert str(caught.value) == f"unit cycle {' -> '.join(err.args[1])}"
+        return
+    assert list(_unit_ranks(units).items()) == list(want.items())
+
+
+# Ten sentences walked from each shuttle model (random.Random(13), at most 12
+# words) and a one-token edit of each that the oracle rejects, with what
+# cfg_parse gave them when it built every production's positions up front:
+# model -> (sentence, accepted, derivation count, log2 p as hex).
+SHUTTLE_PARSES = {
+    "shuttle_no_rels": [
+        ("launch delays and log timestamps", True, 1, "-0x1.5f45e08bcf065p+3"),
+        ("yes", True, 1, "-0x1.cae00d1cfdeb4p+1"),
+        ("is launch delay three decreasing", True, 1, "-0x1.b1fde3d30e812p+3"),
+        ("no", True, 1, "-0x1.cae00d1cfdeb4p+1"),
+        ("log timestamps and sensor values", True, 1, "-0x1.e570068e7ef5ap+2"),
+        ("flight deck and log timestamps", True, 1, "-0x1.5f45e08bcf065p+3"),
+        ("to flight deck three", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("how about fifteen p s i", True, 1, "-0x1.c2d75a6eb1dfbp+2"),
+        ("at log timestamps three", True, 1, "-0x1.a570068e7ef5ap+2"),
+        ("what are sensor values and sensor values", True, 1, "-0x1.dd053f6d26089p+3"),
+        ("units delays and log timestamps", False, 0, "-inf"),
+        ("units yes", False, 0, "-inf"),
+        ("is launch three decreasing", False, 0, "-inf"),
+        ("reached", False, 0, "-inf"),
+        ("log log timestamps and sensor values", False, 0, "-inf"),
+        ("flight deck log timestamps", False, 0, "-inf"),
+        ("to flight deck five", False, 0, "-inf"),
+        ("how about fifteen p s i the", False, 0, "-inf"),
+        ("at log find three", False, 0, "-inf"),
+        ("what are sensor with and sensor values", False, 0, "-inf"),
+    ],
+    "shuttle_rels": [
+        ("no", True, 1, "-0x1.cae00d1cfdeb4p+1"),
+        ("the sensor values say what is decreasing at fifteen oh five", True, 2, "-0x1.bdb63bfaaff33p+4"),
+        ("at lower deck", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("yes", True, 1, "-0x1.cae00d1cfdeb4p+1"),
+        ("go to the flight deck at log timestamps", True, 1, "-0x1.8570068e7ef5ap+3"),
+        ("at flight deck three", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("to crew hatch", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("what is going up at the cargo bays at log timestamps three", True, 1, "-0x1.27dea15a32c1bp+4"),
+        ("with the fixed sensors", True, 1, "-0x1.cae00d1cfdeb4p+2"),
+        ("launch delays three that are fixed sensors and docking tests", True, 1, "-0x1.a3d6e27692882p+4"),
+        ("to", False, 0, "-inf"),
+        ("the sensor values say what is find decreasing at fifteen oh five", False, 0, "-inf"),
+        ("lower deck", False, 0, "-inf"),
+        ("deck", False, 0, "-inf"),
+        ("go to the flight deck at log were timestamps", False, 0, "-inf"),
+        ("at flight three", False, 0, "-inf"),
+        ("to docking hatch", False, 0, "-inf"),
+        ("what is going up where at the cargo bays at log timestamps three", False, 0, "-inf"),
+        ("with the sensors", False, 0, "-inf"),
+        ("launch delays three that are fixed out and docking tests", False, 0, "-inf"),
+    ],
+    "shuttle_unlinked": [
+        ("launch delays and log timestamps", True, 1, "-0x1.71fde3d30e812p+3"),
+        ("yes", True, 1, "-0x1.cae00d1cfdeb4p+1"),
+        ("to crew hatch three", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("fifteen oh five that measures the sensor values at crew hatch three", True, 2, "-0x1.90a702c96a3c5p+4"),
+        ("at the flight deck", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("at lower deck", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("scenario and sensor values", True, 1, "-0x1.71fde3d30e812p+3"),
+        ("how about log timestamps and log timestamps", True, 1, "-0x1.0570068e7ef5ap+3"),
+        ("say that fifteen p s i is low at log timestamps", True, 2, "-0x1.41b47b5782d27p+4"),
+        ("go to lower deck", True, 1, "-0x1.4570068e7ef5ap+3"),
+        ("launch delays do log timestamps", False, 0, "-inf"),
+        ("they yes", False, 0, "-inf"),
+        ("to crew hatch aft three", False, 0, "-inf"),
+        ("fifteen oh five that measures the docking values at crew hatch three", False, 0, "-inf"),
+        ("to at the flight deck", False, 0, "-inf"),
+        ("lower deck", False, 0, "-inf"),
+        ("scenario repair sensor values", False, 0, "-inf"),
+        ("how about sensors log timestamps and log timestamps", False, 0, "-inf"),
+        ("say that fifteen p s i low at log timestamps", False, 0, "-inf"),
+        ("reports to lower deck", False, 0, "-inf"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SHUTTLES)
+def test_parse_of_shuttle_sentences_is_pinned(name):
+    cfg = compiled(name).cfg
+    for sentence, accepted, count, log2_hex in SHUTTLE_PARSES[name]:
+        result = cfg_parse(cfg, sentence.split())
+        got = (result.accepted, result.derivation_count, result.log2_prob.hex())
+        assert got == (accepted, count, log2_hex), sentence
+
+
+@pytest.mark.parametrize("name", SHUTTLES)
+def test_parse_with_one_parser_over_a_corpus_matches_fresh_parses(name):
+    """perplexity keeps one parser for its corpus, which reuses the positions
+    earlier sentences built; taken forwards or reversed, each sentence gets
+    what a fresh cfg_parse gives it, and perplexity sums those."""
+    cfg = compiled(name).cfg
+    corpus = [sentence.split() for sentence, *_ in SHUTTLE_PARSES[name]]
+    fresh = [cfg_parse(cfg, tokens) for tokens in corpus]
+    for order in (1, -1):
+        parser = _Earley(cfg)
+        assert [parser.parse(tokens, 10**6) for tokens in corpus[::order]] == fresh[::order]
+        total = 0.0
+        for result in fresh[::order]:
+            if result.accepted:
+                total += result.log2_prob
+        assert perplexity(cfg, corpus[::order]).total_log2 == total
+
+
+def test_parse_builds_positions_only_for_predicted_productions():
+    cfg = compiled("shuttle_rels").cfg
+    parser = _Earley(cfg)
+    parser.parse(["zzz"], 1)
+    assert parser.rules == {} and parser.lhs == []
+    parser.parse(["yes"], 1)
+    assert len(parser.rules) == 2
+    parser.parse("launch delays and log timestamps".split(), 1)
+    assert 2 < len(parser.rules) < len(parser.productions) // 4
 
 
 def _shuttle_wordplus():
