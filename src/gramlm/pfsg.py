@@ -15,12 +15,14 @@ is a 0.5 skip / 0.5 enter choice over a fresh one-or-more production. Those
 are the graph's loop masses, so the graph and the grammar assign every
 string the same probability. :func:`cfg_parse` scores a sentence with one
 Earley pass, carrying probabilities with a binary exponent so that long
-sentences do not underflow. Its tables are built per call, and the Earley
-positions only for the productions the sentence predicts; :func:`perplexity`
-keeps one set of tables for its whole corpus, growing them as its sentences
-predict more. :func:`cfg_enumerate` and :func:`pfsg_enumerate`
-list the strings of the grammar and of the graphs up to a length, in
-separate code so that each checks the other.
+sentences do not underflow. It completes right recursion, which every star
+becomes in the plain grammar, in linear time, taking each deterministic
+chain of completions in one step. Its tables are built per call, and the
+Earley positions only for the productions the sentence predicts;
+:func:`perplexity` keeps one set of tables for its whole corpus, growing
+them as its sentences predict more. :func:`cfg_enumerate` and
+:func:`pfsg_enumerate` list the strings of the grammar and of the graphs up
+to a length, in separate code so that each checks the other.
 """
 
 from __future__ import annotations
@@ -541,8 +543,23 @@ class _Earley:
     position, its origin and its inside value: the derivation count, capped,
     and the rule weight times the probability of the symbols before the dot,
     carried as a mantissa and a binary exponent so that no sentence length
-    underflows. Scaling by powers of two is exact, so the result is the one
-    plain floats give wherever they do not underflow.
+    underflows. Scaling by powers of two is exact, and capped counts are
+    exact in any grouping, so the count is the true one, capped.
+
+    Right recursion completes in linear time (Leo 1991). A span is a link
+    when its column holds one item alone waiting on it, and the span
+    completes that item's rule: its only use is then to complete the one
+    span that rule covers. Links form deterministic chains. A completed
+    link adds straight into its chain's topmost span, and the spans within
+    the chain are never made, so a word that ends n nested right-recursive
+    spans costs a few completions rather than n. A chain is followed once
+    per parse: each link keeps the topmost item and the product of the item
+    values up to it, so a probability is the plain product regrouped and
+    may differ from it in the last place. No chain passes through the start
+    symbol from column 0, the span the result is read from. Only a link
+    of two or more words looks a chain up: one-word spans, the commonest
+    completions of a short sentence, skip the link test, and a chain that
+    one of them would start is taken up a word later from its second link.
 
     The plain grammar, the left-corner tables and the unit ranks are built
     up front, so that any error the grammar has is raised before a token is
@@ -625,16 +642,49 @@ class _Earley:
                     stack.append(want)
         return waiting
 
+    def _chain(self, columns: list[dict], chains: list[dict], i: int, name: str, cap: int) -> tuple:
+        """The chain that a link, a span of ``name`` from column i, starts:
+        its topmost item, with the item values up to it multiplied in.
+
+        The item a link completes covers the next span up; the chain stops
+        at the first span that is not a link, or at the start symbol from
+        column 0. Every link walked keeps its result in ``chains``, so a
+        parse walks a link once.
+        """
+        lhs, after = self.lhs, self.after
+        stop = (0, self.start)
+        path, top = [], chains[i].get(name)
+        while top is None:
+            item = columns[i][name][0]
+            path.append((i, name, item))
+            i, name = item[1], lhs[item[0]]
+            waiting = columns[i].get(name, ())
+            if (i, name) == stop or len(waiting) != 1 or after[waiting[0][0]] >= 0:
+                i, name, top = path.pop()
+                chains[i][name] = top
+            else:
+                top = chains[i].get(name)
+        for i, name, (_, _, c, m, e) in reversed(path):
+            m *= top[3]
+            e += top[4]
+            if m < _TINY:
+                m, shift = math.frexp(m)
+                e += shift
+            top = chains[i][name] = (top[0], top[1], min(c * top[2], cap), m, e)
+        return top
+
     def parse(self, tokens: Sequence[str], cap: int) -> CfgParseResult:
         n = len(tokens)
         rejected = CfgParseResult(False, 0, float("-inf"))
         lhs, after, rank = self.lhs, self.after, self.rank
         items: dict[tuple[int, int], list] = {}
         columns: list[dict] = []
+        chains: list[dict] = []  # per column: production -> its chain's top item
         for k in range(1, n + 1):
             columns.append(self._column(k - 1, items, tokens[k - 1], () if columns else [self.start]))
             if not columns[-1]:
                 return rejected
+            chains.append({})
             items = {}
             # The word is a span (k - 1, k) ranked below every production.
             done: dict[int, dict] = {k - 1: {(_TERM, tokens[k - 1]): [1, 1.0, 0]}}
@@ -645,12 +695,16 @@ class _Earley:
             while origins:
                 i = -heapq.heappop(origins)
                 group = done[i]
+                chained = i < k - 1
                 names = [(rank.get(name, -1), name) for name in group]
                 heapq.heapify(names)
                 while names:
                     name = heapq.heappop(names)[1]
                     count, mantissa, exponent = group[name]
-                    for pos, origin, c, m, e in columns[i].get(name, ()):
+                    waiting = columns[i].get(name, ())
+                    if chained and len(waiting) == 1 and after[waiting[0][0]] < 0:
+                        waiting = (self._chain(columns, chains, i, name, cap),)
+                    for pos, origin, c, m, e in waiting:
                         c = min(c * count, cap)
                         m *= mantissa
                         e += exponent
@@ -685,9 +739,12 @@ def cfg_parse(
     FIRST set holds the next word are predicted, and the tables built for
     the call hold positions only for the productions predicted. The spans
     ending at a word are completed by origin, narrowest first, and unit
-    chains in topological order. A unit cycle, or a production that admits
-    the empty string, raises :class:`CompileError` before any token is read
-    (compiled models have no unit cycle, as left recursion is eliminated).
+    chains in topological order. Deterministic chains of completions, which
+    right recursion makes, are taken in one step, so right recursion costs
+    time linear in the sentence length rather than quadratic. A unit cycle,
+    or a production that admits the empty string, raises
+    :class:`CompileError` before any token is read (compiled models have no
+    unit cycle, as left recursion is eliminated).
     Counts are capped at every step, which gives min(true count,
     ``count_cap``). Probabilities carry a binary exponent, so long sentences
     do not underflow; they are reported in log2. Unknown tokens make the

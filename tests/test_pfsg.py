@@ -31,6 +31,7 @@ from gramlm import (
     pfsg_to_text,
     wordplus_grammar,
 )
+from gramlm import pfsg as pfsg_module
 from gramlm.cfg import Alt, Ref, Star, Term, alt, seq
 from gramlm.cli import _build_parser
 from gramlm.errors import CAP_STRINGS
@@ -351,6 +352,136 @@ def test_long_sentences_do_not_underflow(n):
     result = cfg_parse(cfg, tokens)
     assert result.accepted and result.derivation_count == 1
     assert result.log2_prob == pytest.approx(-n * math.log2(2 * len(vocab)), rel=1e-9)
+
+
+# ---- right recursion: deterministic completion chains ----
+
+RIGHT_WORDS = cfg_from_text('s -> w s | w ; w -> "a" | "b" | "c" ;')
+
+
+def test_parse_completes_right_recursion_in_linear_time(monkeypatch):
+    """Each word of s -> w s | w ends a span for every earlier s; followed
+    one by one, they took 5249 / 20499 / 80999 value additions at 100 /
+    200 / 400 words. Chains add into the topmost span alone."""
+    calls = []
+    real = pfsg_module._add
+    monkeypatch.setattr(pfsg_module, "_add", lambda *args: calls.append(1) or real(*args))
+    adds = {}
+    for n in (100, 200, 400):
+        calls.clear()
+        result = cfg_parse(RIGHT_WORDS, list(itertools.islice(itertools.cycle("abc"), n)))
+        assert result.accepted and result.derivation_count == 1
+        assert result.log2_prob == pytest.approx(-n * math.log2(6), rel=1e-12)
+        adds[n] = len(calls)
+    assert adds[400] - adds[200] == 2 * (adds[200] - adds[100])
+    assert adds[400] < 5 * 400
+
+
+# Two derivations per word, so chains carry counts past the cap.
+TWO_WAY_WORDS = cfg_from_text('s -> x s | x ; x -> "a" | "a" ;')
+
+
+@pytest.mark.parametrize("cap", [10**6, 1])
+@pytest.mark.parametrize("n", [1, 5, 19, 20, 21, 30])
+def test_parse_chain_counts_saturate_at_the_cap(n, cap):
+    """2**n derivations, each of probability 2**-n. At 30 words the default
+    cap trips inside a chain; perplexity parses with cap 1."""
+    result = cfg_parse(TWO_WAY_WORDS, ["a"] * n, count_cap=cap)
+    assert result.accepted
+    assert result.derivation_count == min(2**n, cap)
+    assert result.log2_prob == -n
+
+
+@pytest.mark.parametrize(
+    "b,sentence,log2_prob",
+    [
+        ('"b"', "a b", -1.0),
+        ('"b"', "a b y", -2.0),
+        ('"b"', "a b y y", -3.0),
+        ('"b" "b"', "a b b", -1.0),
+        ('"b" "b"', "a b b y", -2.0),
+        ('"b" "b"', "a b b y y", -3.0),
+    ],
+)
+def test_parse_chains_stop_at_the_start_symbol(b, sentence, log2_prob):
+    """Completing b completes s from 0, which t alone waits on, and t
+    completes from the same item: a chain through s would skip the span
+    whose value is the result. A one-word span starts no chain; a b of two
+    words starts one."""
+    cfg = cfg_from_text(f's -> t "y" | "a" b ; t -> s ; b -> {b} ;')
+    result = cfg_parse(cfg, sentence.split())
+    assert (result.accepted, result.derivation_count, result.log2_prob) == (True, 1, log2_prob)
+
+
+@pytest.mark.parametrize(
+    "sentence,count,log2_hex",
+    [
+        ("a a a", 1, "-0x1.305013ab7ce0ep+2"),
+        ("a a a b", 2, "-0x1.e0a02756f9c1dp+1"),
+        ("a a a b b", 1, "-0x1.305013ab7ce0ep+2"),
+    ],
+)
+def test_parse_of_two_items_waiting_on_one_production(sentence, count, log2_hex):
+    """s -> "a" . s and s -> "a" . s "b" wait in one column: no chain
+    starts there. Pinned as recorded before chains were added."""
+    cfg = cfg_from_text('s -> "a" s | "a" s "b" | "a" ;')
+    result = cfg_parse(cfg, sentence.split())
+    assert (result.accepted, result.derivation_count, result.log2_prob.hex()) == (True, count, log2_hex)
+
+
+# Five sentences of 20-40 words walked from each shuttle model
+# (random.Random(14)) and a one-token edit of each (substitute, insert and
+# delete in turn), with what cfg_parse gave them before completion chains
+# were added: model -> (sentence, accepted, derivation count, log2 p).
+LONG_SHUTTLE_PARSES = {
+    "shuttle_no_rels": [
+        ("find out when you say pressure readings three can measure fifteen p s i with aft sensor at the cargo bays at flight deck", True, 4, -47.87783018579721),
+        ("say what find out when the fixed sensors at crew hatch three say what is going up with fixed sensors at the flight deck with aft sensor three at log timestamps at fifteen oh five", True, 7, -58.36315454519221),
+        ("say that log timestamps three at crew hatch three were flight deck and robot at the log timestamps with fixed sensors at lower deck at log timestamps three", True, 1, -50.516802271220904),
+        ("say the fixed sensors find out when is fifteen p s i decreasing at the log timestamps with the fixed sensors", True, 3, -32.124484848442144),
+        ("say you measured fixed sensors and log timestamps with the aft sensor at the crew hatch with aft sensor three at the log timestamps", True, 1, -41.124484848442144),
+        ("find out when you say pressure delays three can measure fifteen p s i with aft sensor at the cargo bays at flight deck", False, 0, -math.inf),
+        ("say what find out when the fixed sensors at crew hatch three say what is going up with fixed sensors at the flight deck with aft sensor three at log timestamps robot at fifteen oh five", False, 0, -math.inf),
+        ("say that log timestamps three at crew hatch three were flight deck and robot at the log timestamps with fixed sensors lower deck at log timestamps three", False, 0, -math.inf),
+        ("p the fixed sensors find out when is fifteen p s i decreasing at the log timestamps with the fixed sensors", False, 0, -math.inf),
+        ("say you measured fixed sensors and log timestamps with the aft temperature sensor at the crew hatch with aft sensor three at the log timestamps", False, 0, -math.inf),
+    ],
+    "shuttle_rels": [
+        ("fifteen oh five where the launch delay that can find out when robot three that is low is going up at log timestamps three are", True, 2, -38.65447307365859),
+        ("the docking test where the fixed sensors that can find out when what are fixed sensors three that are the repair robots where the status reports that are sensor values three is is is low", True, 1, -67.5196685134726),
+        ("what measured sensor values three that are the test scenarios that were log timestamps and sensor values at log timestamps at log timestamps with the aft sensor", True, 3, -46.74715570832624),
+        ("the launch delays that were pressure readings three that are the fixed sensors where the docking test that is low at the crew hatch is", True, 1, -43.1891038988296),
+        ("how about test scenarios three that were status reports three that do find out when pressure three that is decreasing is low with fixed sensors", True, 3, -40.54594861688042),
+        ("fifteen oh five where the launch delay that can find out when robot three that do low is going up at log timestamps three are", False, 0, -math.inf),
+        ("the docking test where the fixed sensors that can find go out when what are fixed sensors three that are the repair robots where the status reports that are sensor values three is is is low", False, 0, -math.inf),
+        ("what measured sensor values three that are the test scenarios that were log timestamps and sensor values at log timestamps at log timestamps with the aft", False, 0, -math.inf),
+        ("the pressure delays that were pressure readings three that are the fixed sensors where the docking test that is low at the crew hatch is", False, 0, -math.inf),
+        ("how about test scenarios three that were status reports three that do find out when pressure three that is decreasing is low with fixed sensors robots", False, 0, -math.inf),
+    ],
+    "shuttle_unlinked": [
+        ("say is the crew hatch that is the log timestamps that is low at the lower deck low at the cargo bays at fifteen oh five", True, 2, -45.131512115336115),
+        ("thirty degrees celsius that find out when can metric unit three find out when what go to cargo bays three with the fixed sensors", True, 2, -37.42369286682943),
+        ("can fifteen p s i that thirty degrees celsius at crew hatch measure measure log timestamps three that can find out when you say that what is fifteen oh five at the cargo bays with aft sensor three", True, 16, -69.3244338640401),
+        ("the sensor values that is going up close log timestamps and test scenarios at crew hatch three at the log timestamps", True, 1, -38.17130570519514),
+        ("fifteen p s i that the sensor values that thirty degrees celsius where fifteen oh five that thirty degrees celsius where crew hatch three were measured were measure measured is low at the log timestamps at cargo bays", True, 1, -65.32344095619575),
+        ("say is the crew hatch that is the log timestamps that is low at what lower deck low at the cargo bays at fifteen oh five", False, 0, -math.inf),
+        ("thirty degrees celsius that find how out when can metric unit three find out when what go to cargo bays three with the fixed sensors", False, 0, -math.inf),
+        ("can fifteen p s i that thirty degrees celsius at crew hatch measure measure log timestamps three that can find out when you say that what is fifteen oh five at the cargo bays with aft sensor", True, 16, -69.3244338640401),
+        ("the sensor values that is going up close log deck and test scenarios at crew hatch three at the log timestamps", False, 0, -math.inf),
+        ("fifteen p s i that the sensor values that thirty degrees celsius where fifteen oh five that thirty degrees celsius you where crew hatch three were measured were measure measured is low at the log timestamps at cargo bays", False, 0, -math.inf),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SHUTTLES)
+def test_parse_of_long_shuttle_sentences_is_pinned(name):
+    """Chains multiply the same values in another grouping, so log2 p may
+    move in the last place; acceptance and counts may not move at all."""
+    cfg = compiled(name).cfg
+    for sentence, accepted, count, log2_prob in LONG_SHUTTLE_PARSES[name]:
+        result = cfg_parse(cfg, sentence.split())
+        assert (result.accepted, result.derivation_count) == (accepted, count), sentence
+        assert result.log2_prob == pytest.approx(log2_prob, rel=1e-12), sentence
 
 
 # ---- metrics ----
