@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from bisect import bisect
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import GramlmError
 
@@ -47,7 +46,7 @@ class Star:
     body: "Expr"
 
 
-Expr = Union[Term, Ref, Seq, Alt, Star]
+Expr = Term | Ref | Seq | Alt | Star
 
 
 def seq(items) -> Expr:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import DslSyntaxError, ValidationError
 
@@ -59,7 +59,7 @@ class Var:
     name: str
 
 
-Constraint = Union[Atom, Subset, Var]
+Constraint = Atom | Subset | Var
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,20 @@ class _Analyzer:
         return items
 
 
+# The tables of the grammar parsed last, matched by identity: hashing or
+# comparing a Grammar walks every rule.
+_last_analyzer: Optional[_Analyzer] = None
+
+
+def _parse_analyzer(grammar: Grammar) -> _Analyzer:
+    """The tables for ``grammar``, reused while the same object is parsed."""
+    global _last_analyzer
+    analyzer = _last_analyzer
+    if analyzer is None or analyzer.grammar is not grammar:
+        analyzer = _last_analyzer = _Analyzer(grammar)
+    return analyzer
+
+
 def _check_tokens(grammar: Grammar, tokens: Sequence[str]) -> None:
     known = {tok for entry in grammar.lexicon for tok in entry.surface}
     for position, token in enumerate(tokens):
@@ -176,7 +190,7 @@ def oracle_parse(
     """
     tokens = tuple(tokens)
     _check_tokens(grammar, tokens)
-    analyzer = _Analyzer(grammar)
+    analyzer = _parse_analyzer(grammar)
     n = len(tokens)
     if n == 0:
         return ParseResult(False, 0, [])

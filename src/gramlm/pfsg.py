@@ -18,7 +18,9 @@ Earley pass, carrying probabilities with a binary exponent so that long
 sentences do not underflow. It completes right recursion, which every star
 becomes in the plain grammar, in linear time, taking each deterministic
 chain of completions in one step. Its tables are built per call, and the
-Earley positions only for the productions the sentence predicts;
+Earley positions only for the productions the sentence predicts, with
+their rules filed by first symbol, so that prediction reads only the rules
+that can start the next word;
 :func:`perplexity` keeps one set of tables for its whole corpus, growing
 them as its sentences predict more. :func:`cfg_enumerate` and
 :func:`pfsg_enumerate` list the strings of the grammar and of the graphs up
@@ -566,7 +568,9 @@ class _Earley:
     read; the tables read only each alternative's first symbol and length.
     A production's positions are built the first time a column predicts it,
     and then kept, so a parse builds those of the productions its sentence
-    predicts and numbers them in the order it predicts them.
+    predicts and numbers them in the order it predicts them. Its rules are
+    then filed by first symbol (a left-corner index, Moore 2000), so that
+    prediction reads only the word rules that start with the next word.
     """
 
     def __init__(self, cfg: ContextFreeGrammar):
@@ -578,7 +582,8 @@ class _Earley:
         # its (_TERM, word) symbol so that the two cannot collide.
         self.wants: list[object] = []
         self.after: list[int] = []  # position past the next symbol; -1 completes
-        self.rules: dict[str, list[tuple[int, float]]] = {}  # first position, weight; once predicted
+        # Once predicted: the rules by first symbol (see _rules).
+        self.rules: dict[str, tuple[dict[Symbol, list], list[tuple[str, int, float]]]] = {}
         self.starts_with: dict[str, set[str]] = {}  # word -> productions
         self.left_parents: dict[str, set[str]] = {}  # production -> productions
         self.starters: dict[str, set[str]] = {}  # word -> its FIRST set's owners
@@ -595,17 +600,23 @@ class _Earley:
                     units[name].append(value)
         self.rank = _unit_ranks(units)
 
-    def _rules(self, name: str) -> list[tuple[int, float]]:
-        """The production's rules, as first position and weight, with their
-        positions built on the first call."""
+    def _rules(self, name: str) -> tuple[dict, list]:
+        """The production's rules by first symbol, with their positions built
+        on the first call: (first position, weight) lists under each first
+        word's symbol, and (first production, first position, weight) for
+        the rest, all in rule order."""
         rules = self.rules.get(name)
         if rules is None:
-            rules = self.rules[name] = []
+            words, refs = rules = self.rules[name] = ({}, [])
             lhs, wants, after = self.lhs, self.wants, self.after
             for symbols, weight in self.productions[name]:
                 if not symbols:
                     continue
-                rules.append((len(lhs), weight))
+                kind, value = symbols[0]
+                if kind == _TERM:
+                    words.setdefault(symbols[0], []).append((len(lhs), weight))
+                else:
+                    refs.append((value, len(lhs), weight))
                 for dot, (kind, value) in enumerate(symbols, start=1):
                     lhs.append(name)
                     wants.append(value if kind == _REF else (kind, value))
@@ -615,7 +626,9 @@ class _Earley:
     def _column(self, k: int, items: dict, word: str, wanted: Iterable[str]) -> dict:
         """Index column k's items by what they wait on, and predict the rules
         whose FIRST set holds ``word``, the next one. Items waiting on a
-        production that cannot start with it are dropped."""
+        production that cannot start with it are dropped. Of a predicted
+        production's rules that start with a word, only those that start
+        with ``word`` are read."""
         if word not in self.starters:
             found, stack = set(), list(self.starts_with.get(word, ()))
             while stack:
@@ -633,13 +646,15 @@ class _Earley:
         stack = [name for name in dict.fromkeys([*waiting, *wanted]) if name in starters]
         seen = set(stack)
         while stack:
-            for pos, weight in self._rules(stack.pop()):
-                want = self.wants[pos]
-                if want == scanned or want in starters:
+            words, refs = self._rules(stack.pop())
+            for pos, weight in words.get(scanned, ()):
+                waiting.setdefault(scanned, []).append((pos, k, 1, weight, 0))
+            for want, pos, weight in refs:
+                if want in starters:
                     waiting.setdefault(want, []).append((pos, k, 1, weight, 0))
-                if want in starters and want not in seen:
-                    seen.add(want)
-                    stack.append(want)
+                    if want not in seen:
+                        seen.add(want)
+                        stack.append(want)
         return waiting
 
     def _chain(self, columns: list[dict], chains: list[dict], i: int, name: str, cap: int) -> tuple:
@@ -736,15 +751,16 @@ def cfg_parse(
     """Weighted recognition: derivation count and total inside probability.
 
     One Earley pass over the plain grammar gives both. Only rules whose
-    FIRST set holds the next word are predicted, and the tables built for
-    the call hold positions only for the productions predicted. The spans
-    ending at a word are completed by origin, narrowest first, and unit
-    chains in topological order. Deterministic chains of completions, which
-    right recursion makes, are taken in one step, so right recursion costs
-    time linear in the sentence length rather than quadratic. A unit cycle,
-    or a production that admits the empty string, raises
-    :class:`CompileError` before any token is read (compiled models have no
-    unit cycle, as left recursion is eliminated).
+    FIRST set holds the next word are predicted, and prediction reads the
+    rules by first symbol, so it does not walk the word rules that start
+    with other words. The tables built for the call hold positions only
+    for the productions predicted. The spans ending at a word are completed
+    by origin, narrowest first, and unit chains in topological order.
+    Deterministic chains of completions, which right recursion makes, are
+    taken in one step, so right recursion costs time linear in the sentence
+    length rather than quadratic. A unit cycle, or a production that admits
+    the empty string, raises :class:`CompileError` before any token is read
+    (compiled models have no unit cycle, as left recursion is eliminated).
     Counts are capped at every step, which gives min(true count,
     ``count_cap``). Probabilities carry a binary exponent, so long sentences
     do not underflow; they are reported in log2. Unknown tokens make the

@@ -1,6 +1,10 @@
 """Grammar DSL and CFG text format: parsing, printing, validation, and introspection."""
 
 import dataclasses
+import gc
+import importlib
+import sys
+import weakref
 
 import pytest
 from conftest import SHUTTLES, TOYS, grammar
@@ -174,6 +178,27 @@ def test_grammar_is_immutable():
     assert isinstance(g, Grammar)
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.start = "NP"
+
+
+def test_a_dropped_import_of_gramlm_is_freed():
+    """The benchmark imports gramlm afresh for each set-up, after dropping
+    the old modules from sys.modules. Nothing global, such as typing's cache
+    of Union aliases, may keep a dropped copy's classes alive, and with them
+    its module globals, or the tables oracle_parse keeps."""
+    kept = {name: sys.modules.pop(name) for name in list(sys.modules) if name.split(".")[0] == "gramlm"}
+    try:
+        fresh = importlib.import_module("gramlm")
+        assert fresh.Term is not Term
+        tiny = fresh.parse_grammar('start S\nlex "w": S\n')
+        assert fresh.oracle_parse(tiny, ["w"]).accepted
+        refs = [weakref.ref(fresh.cfg.Term), weakref.ref(fresh.grammar.Atom)]
+        del fresh, tiny
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "gramlm"]:
+            del sys.modules[name]
+        sys.modules.update(kept)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 # ---- both text formats on arbitrary input ----

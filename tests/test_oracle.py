@@ -5,6 +5,7 @@ enumeration and then frozen; the compiled pipeline is tested against the
 same sets elsewhere, so a drift in either side trips a test.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from test_compiler import _feature_grammars
 
 from gramlm import ResourceCapError, UnknownTokenError, oracle_enumerate, oracle_parse, parse_grammar
+from gramlm import oracle as oracle_module
 
 TINY_LANGUAGE = {("the", "dog", "barks"), ("the", "dogs", "bark")}
 
@@ -131,6 +133,25 @@ def test_unknown_token_raises():
 
 def test_empty_input_rejected():
     assert not oracle_parse(grammar("tiny_agreement"), []).accepted
+
+
+def test_parses_of_one_grammar_build_its_tables_once(monkeypatch):
+    """oracle_parse keeps the tables of the grammar it parsed last, matched
+    by identity: parses of one grammar object build them once and give what
+    fresh tables give, and another object, even an equal one, rebuilds."""
+    g = grammar("tiny_agreement")
+    corpus = list(itertools.product(["the", "dog", "dogs", "barks", "bark"], repeat=3))
+    fresh = [oracle_parse(dataclasses.replace(g), tokens) for tokens in corpus]
+    assert sum(result.accepted for result in fresh) == len(TINY_LANGUAGE)
+    built = []
+    real = oracle_module._Analyzer
+    monkeypatch.setattr(oracle_module, "_Analyzer", lambda g: built.append(g) or real(g))
+    assert [oracle_parse(g, tokens) for tokens in corpus] == fresh
+    assert [b is g for b in built] == [True]
+    other = dataclasses.replace(g)
+    assert [oracle_parse(other, tokens) for tokens in corpus[:5]] == fresh[:5]
+    assert oracle_parse(g, corpus[0]) == fresh[0]
+    assert [b is g for b in built] == [True, False, True]
 
 
 def test_max_derivations_truncates_trees_not_count():

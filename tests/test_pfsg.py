@@ -337,6 +337,32 @@ def test_parse_builds_positions_only_for_predicted_productions():
     assert 2 < len(parser.rules) < len(parser.productions) // 4
 
 
+class _CountedReads(list):
+    """A list that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_parse_predicts_without_scanning_the_vocabulary():
+    """Prediction reads a production's rules by first symbol. Of the word
+    rules of w in s -> w s | w it reads those that start with the word
+    alone, so the rules read per word do not grow with the vocabulary."""
+    tokens = [f"v{i % 7}" for i in range(30)]
+    reads = {}
+    for size in (10, 500):
+        cfg = compile_grammar(wordplus_grammar(f"v{i}" for i in range(size))).cfg
+        parser = _Earley(cfg)
+        parser.wants = _CountedReads()
+        result = parser.parse(tokens, 10**6)
+        assert result.log2_prob == pytest.approx(-len(tokens) * math.log2(2 * size), rel=1e-12)
+        reads[size] = parser.wants.reads
+    assert reads[10] == reads[500] < 3 * len(tokens)
+
+
 def _shuttle_wordplus():
     vocab = sorted(surface_tokens(grammar("shuttle_rels")))
     return vocab, compile_grammar(wordplus_grammar(vocab)).cfg
