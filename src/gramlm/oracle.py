@@ -22,7 +22,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CAP_STRINGS, ResourceCapError, UnknownTokenError
-from .grammar import Atom, Category, Grammar, Rule, Subset, Var, constrained_features
+from .grammar import Atom, Category, Grammar, LexEntry, Rule, Subset, Var, constrained_features, surface_tokens
 
 FREE = None
 
@@ -64,6 +64,13 @@ class _Analyzer:
             rule.id: [self._pattern(d) for d in rule.daughters] for rule in grammar.rules
         }
         self.mothers = {rule.id: self._mother_plan(rule) for rule in grammar.rules}
+        self.known = surface_tokens(grammar)
+        # Lexical entries by their first token, in lexicon order, each with
+        # its concrete items.
+        self.lexemes: dict[str, list[tuple[LexEntry, list[_Item]]]] = {}
+        for entry in grammar.lexicon:
+            items = [_Item(entry.category.symbol, fmap) for fmap in self.lexical_items(entry.category)]
+            self.lexemes.setdefault(entry.surface[0], []).append((entry, items))
 
     def _pattern(self, cat: Category) -> Pattern:
         index = {f: i for i, f in enumerate(self.relevant[cat.symbol])}
@@ -170,13 +177,6 @@ def _parse_analyzer(grammar: Grammar) -> _Analyzer:
     return analyzer
 
 
-def _check_tokens(grammar: Grammar, tokens: Sequence[str]) -> None:
-    known = {tok for entry in grammar.lexicon for tok in entry.surface}
-    for position, token in enumerate(tokens):
-        if token not in known:
-            raise UnknownTokenError(token, position)
-
-
 def oracle_parse(
     grammar: Grammar,
     tokens: Sequence[str],
@@ -187,44 +187,53 @@ def oracle_parse(
 
     Derivations are rendered as bracketed trees, at most ``max_derivations``
     of them, in a deterministic order.
+
+    The chart is filled span by span, narrower spans first. Items are
+    indexed by (start position, symbol), so a daughter pattern reads only
+    the items of its own symbol, and a rule is tried over a span only when
+    its first daughter's symbol has an item at the span's start. Lexical
+    entries are found by their first token. The first pass over a span
+    tries every rule; later passes repeat only the unary rules, whose
+    daughter may be an item the span itself has just gained.
     """
     tokens = tuple(tokens)
-    _check_tokens(grammar, tokens)
     analyzer = _parse_analyzer(grammar)
+    for position, token in enumerate(tokens):
+        if token not in analyzer.known:
+            raise UnknownTokenError(token, position)
     n = len(tokens)
     if n == 0:
         return ParseResult(False, 0, [])
 
     # chart[(i, j)]: item -> derivation count (settled once per span);
-    # back[(i, j)]: item -> origins, each ("lex", entry) or ("rule", rule, picked).
+    # back[(i, j)]: item -> origins, each ("lex", entry) or ("rule", rule, picked);
+    # starts[i][symbol]: (end, item) for each item of the symbol from i.
     chart: dict[tuple[int, int], dict[_Item, int]] = {}
     back: dict[tuple[int, int], dict[_Item, list]] = {}
-    starts: dict[int, list[tuple[int, _Item]]] = {}
+    starts: list[dict[str, list[tuple[int, _Item]]]] = [{} for _ in range(n + 1)]
 
-    def add(span: tuple[int, int], item: _Item, origin) -> bool:
+    def add(span: tuple[int, int], item: _Item, origin) -> None:
         cell = chart.setdefault(span, {})
-        fresh = item not in cell
-        if fresh:
+        if item not in cell:
             cell[item] = 0
-            starts.setdefault(span[0], []).append((span[1], item))
+            starts[span[0]].setdefault(item.symbol, []).append((span[1], item))
         back.setdefault(span, {}).setdefault(item, []).append(origin)
-        return fresh
 
-    for entry in grammar.lexicon:
-        width = len(entry.surface)
-        for i in range(n - width + 1):
-            if tuple(tokens[i : i + width]) == entry.surface:
-                for fmap in analyzer.lexical_items(entry.category):
-                    add((i, i + width), _Item(entry.category.symbol, fmap), ("lex", entry))
+    for i, token in enumerate(tokens):
+        for entry, items in analyzer.lexemes.get(token, ()):
+            end = i + len(entry.surface)
+            if tokens[i:end] == entry.surface:
+                for item in items:
+                    add((i, end), item, ("lex", entry))
 
-    def matches(rule: Rule, i: int, j: int):
-        """Yield (bindings, [(span, item), ...]) for complete daughter matches."""
+    def matches(patterns: list[Pattern], i: int, j: int) -> list:
+        """(bindings, [(span, item), ...]) for each complete daughter match."""
         states: list[tuple[int, dict, list]] = [(i, {}, [])]
-        for daughter in analyzer.patterns[rule.id]:
+        for daughter in patterns:
             next_states = []
             for pos, bindings, picked in states:
-                for end, item in starts.get(pos, ()):
-                    if end > j or item.symbol != daughter[0]:
+                for end, item in starts[pos].get(daughter[0], ()):
+                    if end > j:
                         continue
                     extended = analyzer.match_item(daughter, item, bindings)
                     if extended is None:
@@ -232,10 +241,8 @@ def oracle_parse(
                     next_states.append((end, extended, picked + [((pos, end), item)]))
             states = next_states
             if not states:
-                return
-        for pos, bindings, picked in states:
-            if pos == j:
-                yield bindings, picked
+                return []
+        return [(bindings, picked) for pos, bindings, picked in states if pos == j]
 
     def settle_counts(i: int, j: int) -> None:
         """Evaluate counts over the span's origin graph to a fixpoint.
@@ -266,14 +273,27 @@ def oracle_parse(
             if not changed:
                 break
 
+    # Every rule has a daughter and every lexeme a token, so every item
+    # spans at least one token. A rule of two or more daughters over (i, j)
+    # therefore completes only from strictly narrower spans, all settled
+    # before (i, j): its first pass finds every match it ever will, and only
+    # the unary rules need repeating until a pass adds nothing.
+    rules = [(rule, analyzer.patterns[rule.id]) for rule in grammar.rules]
+    units = [(rule, patterns) for rule, patterns in rules if len(patterns) == 1]
     for width in range(1, n + 1):
         for i in range(n - width + 1):
             j = i + width
+            here = starts[i]
             recorded: set = set()
+            tried = rules
             while True:
                 grew = False
-                for rule in grammar.rules:
-                    for bindings, picked in list(matches(rule, i, j)):
+                for rule, patterns in tried:
+                    # Checked here, not once per span: a unary rule can
+                    # match an item an earlier rule added in this pass.
+                    if patterns[0][0] not in here:
+                        continue
+                    for bindings, picked in matches(patterns, i, j):
                         key = (rule.id, tuple(picked))
                         if key in recorded:
                             continue
@@ -283,6 +303,7 @@ def oracle_parse(
                             add((i, j), _Item(rule.mother.symbol, fmap), ("rule", rule, picked))
                 if not grew:
                     break
+                tried = units
             settle_counts(i, j)
 
     total = 0

@@ -6,9 +6,14 @@ fresh, uncached object (determinism checks) call the library directly.
 """
 
 import functools
+from itertools import product
 from pathlib import Path
+from typing import Sequence
 
 from gramlm import build_pfsg, compile_grammar, measure, parse_grammar_file
+from gramlm.errors import UnknownTokenError
+from gramlm.grammar import Grammar, Rule
+from gramlm.oracle import ParseResult, _Item, _parse_analyzer
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "gramlm" / "assets"
 
@@ -139,6 +144,169 @@ def leftmost_cycle_free(cfg) -> bool:
         return False
 
     return not any(color[name] == WHITE and has_cycle(name) for name in bodies)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle parser: the parse loop of ``oracle_parse`` before its
+# chart was indexed, kept unchanged so that the indexed parser can be held
+# to the same ParseResult, derivation order included. It tries every rule
+# over every span and repeats them all until a pass adds nothing.
+
+
+def _reference_check_tokens(grammar: Grammar, tokens: Sequence[str]) -> None:
+    known = {tok for entry in grammar.lexicon for tok in entry.surface}
+    for position, token in enumerate(tokens):
+        if token not in known:
+            raise UnknownTokenError(token, position)
+
+
+def reference_oracle_parse(
+    grammar: Grammar,
+    tokens: Sequence[str],
+    max_derivations: int = 10,
+    count_cap: int = 10**6,
+) -> ParseResult:
+    """Parse a token sequence; count and render derivations.
+
+    Derivations are rendered as bracketed trees, at most ``max_derivations``
+    of them, in a deterministic order.
+    """
+    tokens = tuple(tokens)
+    _reference_check_tokens(grammar, tokens)
+    analyzer = _parse_analyzer(grammar)
+    n = len(tokens)
+    if n == 0:
+        return ParseResult(False, 0, [])
+
+    # chart[(i, j)]: item -> derivation count (settled once per span);
+    # back[(i, j)]: item -> origins, each ("lex", entry) or ("rule", rule, picked).
+    chart: dict[tuple[int, int], dict[_Item, int]] = {}
+    back: dict[tuple[int, int], dict[_Item, list]] = {}
+    starts: dict[int, list[tuple[int, _Item]]] = {}
+
+    def add(span: tuple[int, int], item: _Item, origin) -> bool:
+        cell = chart.setdefault(span, {})
+        fresh = item not in cell
+        if fresh:
+            cell[item] = 0
+            starts.setdefault(span[0], []).append((span[1], item))
+        back.setdefault(span, {}).setdefault(item, []).append(origin)
+        return fresh
+
+    for entry in grammar.lexicon:
+        width = len(entry.surface)
+        for i in range(n - width + 1):
+            if tuple(tokens[i : i + width]) == entry.surface:
+                for fmap in analyzer.lexical_items(entry.category):
+                    add((i, i + width), _Item(entry.category.symbol, fmap), ("lex", entry))
+
+    def matches(rule: Rule, i: int, j: int):
+        """Yield (bindings, [(span, item), ...]) for complete daughter matches."""
+        states: list[tuple[int, dict, list]] = [(i, {}, [])]
+        for daughter in analyzer.patterns[rule.id]:
+            next_states = []
+            for pos, bindings, picked in states:
+                for end, item in starts.get(pos, ()):
+                    if end > j or item.symbol != daughter[0]:
+                        continue
+                    extended = analyzer.match_item(daughter, item, bindings)
+                    if extended is None:
+                        continue
+                    next_states.append((end, extended, picked + [((pos, end), item)]))
+            states = next_states
+            if not states:
+                return
+        for pos, bindings, picked in states:
+            if pos == j:
+                yield bindings, picked
+
+    def settle_counts(i: int, j: int) -> None:
+        """Evaluate counts over the span's origin graph to a fixpoint.
+
+        Same-span children (unary chains) start at zero and rise monotonically,
+        so iteration converges; a unary cycle would saturate at the cap.
+        """
+        cell = chart.get((i, j), {})
+        for _ in range(max(64, len(cell) + 1)):
+            changed = False
+            for item in cell:
+                total = 0
+                for origin in back[(i, j)][item]:
+                    if origin[0] == "lex":
+                        total += 1
+                    else:
+                        prod = 1
+                        for span, child in origin[2]:
+                            prod *= chart[span][child]
+                            if prod >= count_cap:
+                                prod = count_cap
+                                break
+                        total += prod
+                total = min(total, count_cap)
+                if total != cell[item]:
+                    cell[item] = total
+                    changed = True
+            if not changed:
+                break
+
+    for width in range(1, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            recorded: set = set()
+            while True:
+                grew = False
+                for rule in grammar.rules:
+                    for bindings, picked in list(matches(rule, i, j)):
+                        key = (rule.id, tuple(picked))
+                        if key in recorded:
+                            continue
+                        recorded.add(key)
+                        grew = True
+                        for fmap in analyzer.mother_items(rule, bindings):
+                            add((i, j), _Item(rule.mother.symbol, fmap), ("rule", rule, picked))
+                if not grew:
+                    break
+            settle_counts(i, j)
+
+    total = 0
+    roots = []
+    for item, count in sorted(
+        chart.get((0, n), {}).items(), key=lambda kv: (kv[0].symbol, str(kv[0].fmap))
+    ):
+        if item.symbol == grammar.start:
+            total = min(total + count, count_cap)
+            roots.append(item)
+
+    derivations: list[str] = []
+
+    def render(span: tuple[int, int], item: _Item, depth: int) -> list[str]:
+        if depth > 64:
+            return []
+        rendered = []
+        for origin in back.get(span, {}).get(item, []):
+            if origin[0] == "lex":
+                rendered.append(f"({item.symbol} {' '.join(origin[1].surface)})")
+            else:
+                _, _, picked = origin
+                child_lists = [render(s, it, depth + 1) for s, it in picked]
+                for combo in product(*child_lists):
+                    rendered.append(f"({item.symbol} {' '.join(combo)})")
+            if len(rendered) >= max_derivations:
+                break
+        return rendered[:max_derivations]
+
+    seen: set[str] = set()
+    for item in roots:
+        for tree in render((0, n), item, 0):
+            if tree not in seen:
+                seen.add(tree)
+                derivations.append(tree)
+            if len(derivations) >= max_derivations:
+                break
+        if len(derivations) >= max_derivations:
+            break
+
+    return ParseResult(total > 0, total, derivations)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ import dataclasses
 import itertools
 
 import pytest
-from conftest import TOYS, grammar
+from conftest import SHUTTLES, TOYS, grammar, reference_oracle_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_compiler import _feature_grammars
+from test_pfsg import LONG_SHUTTLE_PARSES, SHUTTLE_PARSES
 
 from gramlm import ResourceCapError, UnknownTokenError, oracle_enumerate, oracle_parse, parse_grammar
 from gramlm import oracle as oracle_module
@@ -131,6 +132,29 @@ def test_unknown_token_raises():
     assert err.value.position == 1
 
 
+def test_unknown_token_error_names_the_first_unknown_position():
+    g = grammar("tiny_agreement")
+    for tokens, position in ((["zebra", "the", "zebu"], 0), (["the", "dog", "zebu", "zebra"], 2)):
+        with pytest.raises(UnknownTokenError) as err:
+            oracle_parse(g, tokens)
+        assert (err.value.token, err.value.position) == (tokens[position], position)
+
+
+def test_a_token_only_inside_a_multi_token_lexeme_is_known():
+    g = parse_grammar(
+        """
+        start X
+        rule x: X -> A
+        lex "big deal": A
+        """
+    )
+    assert oracle_parse(g, ["deal"]) == oracle_module.ParseResult(False, 0, [])
+    assert oracle_parse(g, ["big", "deal"]).accepted
+    with pytest.raises(UnknownTokenError) as err:
+        oracle_parse(g, ["deal", "bigger"])
+    assert err.value.position == 1
+
+
 def test_empty_input_rejected():
     assert not oracle_parse(grammar("tiny_agreement"), []).accepted
 
@@ -222,3 +246,60 @@ def test_enumeration_lengths_respect_bound(vocab, max_len):
 
     lang = oracle_enumerate(wordplus_grammar(vocab), max_len)
     assert all(1 <= len(s) <= max_len for s in lang)
+
+
+@pytest.mark.parametrize(
+    "rules, derivations",
+    [
+        # lift reads the X that join added earlier in the same pass, so its
+        # derivation comes before pair's.
+        (
+            "rule join: X -> A B\nrule lift: Y -> X\nrule pair: Y -> A B",
+            ["(Y (X (A a) (B b)))", "(Y (A a) (B b))"],
+        ),
+        # lift comes before join, so it reads join's X only in a repeat pass.
+        (
+            "rule lift: Y -> X\nrule pair: Y -> A B\nrule join: X -> A B",
+            ["(Y (A a) (B b))", "(Y (X (A a) (B b)))"],
+        ),
+    ],
+    ids=["same-pass", "repeat-pass"],
+)
+def test_parse_of_unary_rules_over_items_of_their_own_span(rules, derivations):
+    g = parse_grammar(f'start Y\n{rules}\nlex "a": A\nlex "b": B\n')
+    result = oracle_parse(g, ["a", "b"])
+    assert result == oracle_module.ParseResult(True, 2, derivations)
+    assert result == reference_oracle_parse(g, ["a", "b"])
+
+
+# (max_derivations, count_cap) pairs the indexed parser is held to the
+# reference under; a cap of 3 saturates on ambiguous and cyclic grammars.
+REFERENCE_LIMITS = [(1, 3), (10, 3), (10, 10**6)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=_feature_grammars())
+def test_parse_matches_the_reference_parser_on_random_feature_grammars(text):
+    """The indexed chart gives the whole ParseResult of the unindexed
+    parse loop, derivations in the same order, on every string of at most 3
+    tokens. The grammars are not compiled, so unit cycles are included."""
+    g = parse_grammar(text)
+    vocab = sorted({tok for entry in g.lexicon for tok in entry.surface})
+    for n in range(1, 4):
+        for tokens in itertools.product(vocab, repeat=n):
+            for limit, cap in REFERENCE_LIMITS:
+                want = reference_oracle_parse(g, tokens, max_derivations=limit, count_cap=cap)
+                assert oracle_parse(g, tokens, max_derivations=limit, count_cap=cap) == want, tokens
+
+
+@pytest.mark.parametrize("name", SHUTTLES)
+def test_parse_matches_the_reference_parser_on_shuttle_sentences(name):
+    """Walked sentences of each shuttle model and one-token edits of them,
+    short and long, accepted and rejected."""
+    g = grammar(name)
+    sentences = [sentence.split() for sentence, *_ in SHUTTLE_PARSES[name] + LONG_SHUTTLE_PARSES[name]]
+    assert any(reference_oracle_parse(g, tokens).accepted for tokens in sentences)
+    for tokens in sentences:
+        for limit, cap in REFERENCE_LIMITS:
+            want = reference_oracle_parse(g, tokens, max_derivations=limit, count_cap=cap)
+            assert oracle_parse(g, tokens, max_derivations=limit, count_cap=cap) == want, tokens
