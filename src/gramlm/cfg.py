@@ -10,12 +10,16 @@ Text format, one production per line::
     s -> np vp | ( "hello" )* "world" ;
 
 The first production is the start symbol.
+
+:func:`components` is the one strongly connected component search over
+production names, for left-recursion elimination and the parser's unit ranks.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import GramlmError
@@ -98,6 +102,60 @@ class ContextFreeGrammar:
                         stack.extend(reversed(node.options))
                     else:
                         stack.append(node.body)
+
+
+_DONE = 1 << 62  # the low link of a node whose component is complete
+
+
+def components(edges: Mapping[str, Iterable[str]]) -> list[list[str]]:
+    """The strongly connected components of the graph ``edges`` maps each
+    node's children in, each listed as soon as it is complete, so a
+    component comes after every component it reaches (Tarjan 1972). Roots
+    are tried in the order of ``edges`` and children in their listed order;
+    a name that appears only as a child is a node too. Members are listed
+    in the order the walk reaches them."""
+    # A node on the stack is numbered by its place there, which it keeps
+    # while it is on it; its low link is the least number it is known to reach.
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    found: list[list[str]] = []
+    for root in edges:
+        if root in low:
+            continue
+        children = edges[root]
+        if not children:  # no out-edges: a component of its own at once
+            low[root] = _DONE
+            found.append([root])
+            continue
+        low[root] = len(stack)
+        stack.append(root)
+        calls = [(root, 0, iter(children))]
+        while calls:
+            node, at, children = calls[-1]
+            for child in children:
+                if child not in low:
+                    grand = edges.get(child)
+                    if not grand:
+                        low[child] = _DONE
+                        found.append([child])
+                        continue
+                    low[child] = len(stack)
+                    calls.append((child, len(stack), iter(grand)))
+                    stack.append(child)
+                    break
+                if low[child] < low[node]:
+                    low[node] = low[child]
+            else:
+                calls.pop()
+                if low[node] == at:
+                    component = stack[at:]
+                    del stack[at:]
+                    for member in component:
+                        low[member] = _DONE
+                    found.append(component)
+                elif low[node] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[node]
+    return found
 
 
 def _render(expr: Expr, parent: str) -> str:

@@ -19,7 +19,7 @@ from typing import NoReturn, Optional, Sequence, Union
 
 from .analysis import compare, diff_to_table, k_words_per_category, unlink_features, wordplus_grammar
 from .cfg import cfg_from_text, cfg_to_text
-from .compiler import compile_grammar, strip_features
+from .compiler import CompileResult, compile_grammar, strip_features
 from .errors import CAP_STRINGS, GramlmError, ResourceCapError, UndefinedPerplexityError
 from .grammar import Grammar, parse_grammar_file, print_grammar, surface_tokens
 from .oracle import oracle_enumerate, oracle_parse
@@ -81,25 +81,34 @@ def _add_variant_options(p: argparse.ArgumentParser, features_default: str = "sy
     )
 
 
-def _add_cap_tuples(p: argparse.ArgumentParser) -> None:
+def _count(text: str) -> int:
+    """The type of the numeric options: an integer, not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _add_caps(p: argparse.ArgumentParser, strings: bool = False) -> None:
     p.add_argument(
         "--cap-tuples",
-        type=int,
+        type=_count,
         default=10**7,
         metavar="N",
         help="abort instantiation beyond N candidate tuples, and left-recursion "
         "elimination beyond N substituted alternatives (default: %(default)s)",
     )
-
-
-def _add_cap_strings(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cap-strings",
-        type=int,
-        default=CAP_STRINGS,
-        metavar="N",
-        help="abort enumeration beyond N stored strings (default: %(default)s)",
-    )
+    if strings:
+        p.add_argument(
+            "--cap-strings",
+            type=_count,
+            default=CAP_STRINGS,
+            metavar="N",
+            help="abort enumeration beyond N stored strings (default: %(default)s)",
+        )
 
 
 def _keep_features(value: str) -> Union[str, tuple[str, ...]]:
@@ -111,6 +120,11 @@ def _keep_features(value: str) -> Union[str, tuple[str, ...]]:
     if not names:
         raise GramlmError(f"bad --features value {value!r}")
     return names
+
+
+def _compile(args: argparse.Namespace, grammar: Grammar) -> CompileResult:
+    """Compile with the --features and --cap-tuples options."""
+    return compile_grammar(grammar, features=_keep_features(args.features), cap_tuples=args.cap_tuples)
 
 
 def _variant_requested(args: argparse.Namespace) -> bool:
@@ -151,8 +165,7 @@ def _read_corpus(path: Path) -> list[list[str]]:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    grammar = _load_variant(args)
-    result = compile_grammar(grammar, features=_keep_features(args.features), cap_tuples=args.cap_tuples)
+    result = _compile(args, _load_variant(args))
     pfsgs = build_pfsg(result.cfg)
     report = measure(pfsgs)
     out = Path(args.out)
@@ -187,7 +200,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.against:
         cfg = cfg_from_text(Path(args.against).read_text(encoding="utf-8"))
     else:
-        cfg = compile_grammar(grammar, features=keep, cap_tuples=args.cap_tuples).cfg
+        cfg = _compile(args, grammar).cfg
     want = oracle_enumerate(strip_features(grammar, keep), args.max_len, cap=args.cap_strings)
     got = cfg_enumerate(cfg, args.max_len, cap=args.cap_strings)
     if want == got:
@@ -215,8 +228,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         cfg = cfg_from_text(path.read_text(encoding="utf-8"))
         sys.stdout.write(metrics_to_table(measure(build_pfsg(cfg))))
         return EXIT_OK
-    grammar = _load_variant(args)
-    result = compile_grammar(grammar, features=_keep_features(args.features), cap_tuples=args.cap_tuples)
+    result = _compile(args, _load_variant(args))
     print(_stats_line(result.stats))
     print()
     sys.stdout.write(metrics_to_table(measure(build_pfsg(result.cfg))))
@@ -231,8 +243,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    grammar = _load_variant(args)
-    result = compile_grammar(grammar, features=_keep_features(args.features), cap_tuples=args.cap_tuples)
+    result = _compile(args, _load_variant(args))
     tokens = args.sentence.split()
     if not tokens:
         raise GramlmError("empty sentence")
@@ -260,7 +271,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.oracle:
         strings = oracle_enumerate(strip_features(grammar, keep), args.max_len, cap=args.cap_strings)
     else:
-        cfg = compile_grammar(grammar, features=keep, cap_tuples=args.cap_tuples).cfg
+        cfg = _compile(args, grammar).cfg
         strings = cfg_enumerate(cfg, args.max_len, cap=args.cap_strings)
     for s in sorted(strings, key=_by_length):
         print(" ".join(s))
@@ -269,8 +280,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_perplexity(args: argparse.Namespace) -> int:
-    grammar = _load_variant(args)
-    result = compile_grammar(grammar, features=_keep_features(args.features), cap_tuples=args.cap_tuples)
+    result = _compile(args, _load_variant(args))
     corpus = _read_corpus(Path(args.corpus))
     try:
         report = perplexity(result.cfg, corpus)
@@ -301,22 +311,21 @@ def _build_parser() -> _Parser:
     p.add_argument("grammar", help="grammar file")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
     _add_variant_options(p)
-    _add_cap_tuples(p)
+    _add_caps(p)
     p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser("check", help="compare the compiled model's language against the grammar's")
     p.add_argument("grammar", help="grammar file")
-    p.add_argument("--max-len", type=int, required=True, metavar="L", help="compare strings up to this length")
+    p.add_argument("--max-len", type=_count, required=True, metavar="L", help="compare strings up to this length")
     p.add_argument("--against", metavar="CFGFILE", help="check this compiled model instead of recompiling")
     _add_variant_options(p)
-    _add_cap_tuples(p)
-    _add_cap_strings(p)
+    _add_caps(p, strings=True)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("stats", help="print size statistics for a grammar or a compiled .cfg")
     p.add_argument("grammar", help="grammar file, or a compiled .cfg file")
     _add_variant_options(p)
-    _add_cap_tuples(p)
+    _add_caps(p)
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("diff", help="compare two metrics.kv files")
@@ -327,25 +336,24 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("parse", help="parse one sentence with both the grammar and the model")
     p.add_argument("grammar", help="grammar file")
     p.add_argument("sentence", help="space-separated tokens, quoted as one argument")
-    p.add_argument("--derivations", type=int, default=5, metavar="N", help="show at most N parse trees")
+    p.add_argument("--derivations", type=_count, default=5, metavar="N", help="show at most N parse trees")
     _add_variant_options(p)
-    _add_cap_tuples(p)
+    _add_caps(p)
     p.set_defaults(handler=_cmd_parse)
 
     p = sub.add_parser("enumerate", help="list every string the model accepts up to a length")
     p.add_argument("grammar", help="grammar file")
-    p.add_argument("--max-len", type=int, required=True, metavar="L")
+    p.add_argument("--max-len", type=_count, required=True, metavar="L")
     p.add_argument("--oracle", action="store_true", help="enumerate from the grammar instead of the compiled model")
     _add_variant_options(p)
-    _add_cap_tuples(p)
-    _add_cap_strings(p)
+    _add_caps(p, strings=True)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("perplexity", help="per-word perplexity of the model over a corpus file")
     p.add_argument("grammar", help="grammar file")
     p.add_argument("corpus", help="one sentence per line; blank lines and # comments ignored")
     _add_variant_options(p)
-    _add_cap_tuples(p)
+    _add_caps(p)
     p.set_defaults(handler=_cmd_perplexity)
 
     p = sub.add_parser("variant", help="apply grammar transformations and print the result")

@@ -43,14 +43,12 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, seq
+from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, components, seq
 from .errors import CompileError, ResourceCapError
 from .grammar import (
-    SEMANTIC,
     SYNTACTIC,
     Atom,
     Category,
-    FeatureDecl,
     Grammar,
     LexEntry,
     Rule,
@@ -617,45 +615,12 @@ def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = 10**7) -> Conte
     every alternative it produces is charged to ``cap``; beyond it
     :class:`ResourceCapError` is raised.
     """
-    order = [name for name, _ in cfg.productions]
     edges = {name: _leftmost_refs(expr)[0] for name, expr in cfg.productions}
-    # Kosaraju: finish order of a search along the edges, then each search
-    # tree along the reversed edges, latest finish first, is a component.
-    finished: list[str] = []
-    seen: set[str] = set()
-    for root in order:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(edges[root]))]
-        while stack:
-            node, children = stack[-1]
-            child = next((c for c in children if c not in seen), None)
-            if child is None:
-                stack.pop()
-                finished.append(node)
-            else:
-                seen.add(child)
-                stack.append((child, iter(edges[child])))
-    callers: dict[str, list[str]] = {name: [] for name in order}
-    for name in order:
-        for ref in edges[name]:
-            callers[ref].append(name)
-    leader: dict[str, str] = {}
-    for root in reversed(finished):
-        if root in leader:
-            continue
-        leader[root] = root
-        todo = [root]
-        while todo:
-            for caller in callers[todo.pop()]:
-                if caller not in leader:
-                    leader[caller] = root
-                    todo.append(caller)
-    components: dict[str, list[str]] = {}
-    for name in order:
-        components.setdefault(leader[name], []).append(name)
-    cyclic = [c for c in components.values() if len(c) > 1 or c[0] in edges[c[0]]]
+    # The leftmost-reference cycles, each in definition order, taken in the
+    # order of their first members.
+    position = {name: i for i, name in enumerate(edges)}
+    cyclic = [sorted(c, key=position.get) for c in components(edges) if len(c) > 1 or c[0] in edges[c[0]]]
+    cyclic.sort(key=lambda c: position[c[0]])
     if not cyclic:
         return cfg
 
@@ -714,7 +679,7 @@ def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = 10**7) -> Conte
             if name in _leftmost_refs(rewritten[name])[0]:
                 raise CompileError(f"left recursion at {name!r} survived elimination")
 
-    return ContextFreeGrammar(cfg.start, tuple((name, rewritten[name]) for name in order))
+    return ContextFreeGrammar(cfg.start, tuple(rewritten.items()))
 
 
 @dataclass(frozen=True)
@@ -772,9 +737,6 @@ def expansion_stats(
 @dataclass
 class CompileResult:
     grammar: Grammar  # the stripped grammar that was compiled
-    inst: Instantiations
-    merged: dict[str, tuple[RuleInstance, ...]]
-    cfg_raw: ContextFreeGrammar  # before left-recursion elimination
     cfg: ContextFreeGrammar
     stats: ExpansionStats
 
@@ -792,6 +754,5 @@ def compile_grammar(
     stripped = strip_features(grammar, features)
     inst = compute_instantiations(stripped, cap_tuples=cap_tuples)
     merged = merge_all(stripped, inst)
-    cfg_raw = emit_cfg(stripped, inst, merged)
-    cfg = eliminate_left_recursion(cfg_raw, cap=cap_tuples)
-    return CompileResult(stripped, inst, merged, cfg_raw, cfg, expansion_stats(stripped, merged))
+    cfg = eliminate_left_recursion(emit_cfg(stripped, inst, merged), cap=cap_tuples)
+    return CompileResult(stripped, cfg, expansion_stats(stripped, merged))

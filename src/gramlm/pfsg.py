@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term
+from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, components
 from .errors import CAP_STRINGS, CompileError, ResourceCapError, UndefinedPerplexityError
 
 LOOP_MASS = 0.5
@@ -488,54 +488,22 @@ def _add(table: dict, key, count: int, mantissa: float, exponent: int, cap: int)
 
 
 def _unit_ranks(units: dict[str, list[str]]) -> dict[str, int]:
-    """Rank each production above those it has unit alternatives for.
+    """Rank each production above those it has unit alternatives for, by
+    the place of its component in the order :func:`components` lists them.
 
-    Kahn's algorithm, first in first out from the productions in the order
-    ``units`` names them, which gives the ranks of graphlib's
-    ``static_order``. A cycle raises :class:`CompileError` naming the one
-    graphlib names.
-    """
-    waiting: dict[str, int] = {}  # unit daughters not yet ranked
-    mothers: dict[str, list[str]] = {}  # productions with a unit alternative for it
-    for name, daughters in units.items():
-        waiting[name] = waiting.get(name, 0) + len(daughters)
-        mothers.setdefault(name, [])
-        for daughter in daughters:
-            waiting.setdefault(daughter, 0)
-            mothers.setdefault(daughter, []).append(name)
-    order = [name for name, count in waiting.items() if not count]
-    for name in order:  # grows as it is walked
-        for mother in mothers[name]:
-            waiting[mother] -= 1
-            if not waiting[mother]:
-                order.append(mother)
-    if len(order) < len(waiting):
-        raise CompileError(f"unit cycle {' -> '.join(_first_cycle(mothers))}")
-    return {name: rank for rank, name in enumerate(order)}
-
-
-def _first_cycle(edges: dict[str, list[str]]) -> list[str]:
-    """The first cycle a depth-first walk along ``edges`` closes, trying the
-    nodes in order, written from where it closes back to that node."""
-    seen: set[str] = set()
-    for root in edges:
-        if root in seen:
-            continue
-        seen.add(root)
-        path, depth, branches = [root], {root: 0}, [iter(edges[root])]
-        while branches:
-            node = next(branches[-1], None)
-            if node is None:
-                del depth[path.pop()]
-                branches.pop()
-            elif node in depth:
-                return path[depth[node] :] + [node]
-            elif node not in seen:
-                seen.add(node)
-                depth[node] = len(path)
-                path.append(node)
-                branches.append(iter(edges[node]))
-    raise AssertionError("no cycle")
+    A unit cycle raises :class:`CompileError`. The cycle named starts at the
+    first member of the first cyclic component and follows, within it, each
+    name's first unit daughter until a name repeats; it is written from
+    where it closes, each name a unit daughter of the next."""
+    order = components(units)
+    for component in order:
+        if len(component) > 1 or component[0] in units.get(component[0], ()):
+            members, path = set(component), [component[0]]
+            while path.count(path[-1]) == 1:
+                path.append(next(d for d in units[path[-1]] if d in members))
+            cycle = path[path.index(path[-1]) :]
+            raise CompileError(f"unit cycle {' -> '.join(reversed(cycle))}")
+    return {component[0]: rank for rank, component in enumerate(order)}
 
 
 class _Earley:
@@ -566,6 +534,8 @@ class _Earley:
     The plain grammar, the left-corner tables and the unit ranks are built
     up front, so that any error the grammar has is raised before a token is
     read; the tables read only each alternative's first symbol and length.
+    Unit ranks order the productions by the components of their unit
+    alternatives (:func:`~gramlm.cfg.components`); a unit cycle is an error.
     A production's positions are built the first time a column predicts it,
     and then kept, so a parse builds those of the productions its sentence
     predicts and numbers them in the order it predicts them. Its rules are

@@ -10,7 +10,15 @@ from itertools import product
 from pathlib import Path
 from typing import Sequence
 
-from gramlm import build_pfsg, compile_grammar, measure, parse_grammar_file
+from gramlm import (
+    build_pfsg,
+    compile_grammar,
+    compute_instantiations,
+    emit_cfg,
+    measure,
+    merge_all,
+    parse_grammar_file,
+)
 from gramlm.errors import UnknownTokenError
 from gramlm.grammar import Grammar, Rule
 from gramlm.oracle import ParseResult, _Item, _parse_analyzer
@@ -42,6 +50,17 @@ def grammar(name: str):
 @functools.lru_cache(maxsize=None)
 def compiled(name: str):
     return compile_grammar(grammar(name))
+
+
+@functools.lru_cache(maxsize=None)
+def compiled_stages(name: str):
+    """What ``compile_grammar`` makes between the stripped grammar and the
+    model: instantiations, merged instances and the CFG before left-recursion
+    elimination."""
+    stripped = compiled(name).grammar
+    inst = compute_instantiations(stripped)
+    merged = merge_all(stripped, inst)
+    return inst, merged, emit_cfg(stripped, inst, merged)
 
 
 @functools.lru_cache(maxsize=None)

@@ -232,6 +232,24 @@ def test_diff_names_the_bad_line_of_a_metrics_file(tmp_path, line):
     assert "error: line 4: " in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "--max-len", "-1"),
+        ("enumerate", "--max-len", "-3"),
+        ("check", "--max-len", "2", "--cap-strings", "-1"),
+        ("stats", "--cap-tuples", "-1"),
+        ("parse", "yes", "--derivations", "-1"),
+    ],
+)
+def test_negative_numeric_option_is_a_usage_error(args):
+    command, *rest = args
+    r = run(command, asset("intj.gram"), *rest)
+    assert r.returncode == 1
+    assert f"argument {rest[-2]}: expected a non-negative integer, got '{rest[-1]}'" in r.stderr
+    assert r.stdout == ""
+
+
 def test_no_subcommand_is_a_usage_error():
     r = run()
     assert r.returncode == 1

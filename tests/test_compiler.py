@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from conftest import SHUTTLES, TOYS, compiled, grammar, leftmost_cycle_free
+from conftest import SHUTTLES, TOYS, compiled, compiled_stages, grammar, leftmost_cycle_free
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pfsg import _cfgs
@@ -20,7 +20,6 @@ from gramlm import (
     compile_grammar,
     compute_instantiations,
     eliminate_left_recursion,
-    merge_all,
     oracle_enumerate,
     oracle_parse,
     parse_grammar,
@@ -28,7 +27,7 @@ from gramlm import (
     pfsg_enumerate,
     strip_features,
 )
-from gramlm.cfg import ContextFreeGrammar, Ref, Term, alt, seq
+from gramlm.cfg import ContextFreeGrammar, Ref, Term, alt, components, seq
 from gramlm.compiler import _Index, _projector, rect_name
 from gramlm.grammar import constrained_features
 
@@ -96,12 +95,11 @@ def test_unsupported_combinations_are_dropped():
     assert inst.per_rule["x"].tuples == (("a",),)
 
 
-def assert_daughter_keys_supported(result):
+def assert_daughter_keys_supported(stripped, inst):
     """Every retained tuple agrees, at each daughter's fixed positions, with
     a vector the daughter supports; emission builds daughter rectangles
     from the merged instances on this alone."""
-    inst = result.inst
-    for rule in result.grammar.rules:
+    for rule in stripped.rules:
         retained = inst.per_rule[rule.id]
         _, *occurrences = inst.index.slot_positions(rule, retained.dims)
         for cat, (positions, picks) in zip(rule.daughters, occurrences):
@@ -113,25 +111,25 @@ def assert_daughter_keys_supported(result):
 @pytest.mark.parametrize("name", ALL_ASSETS)
 def test_merged_instances_partition_the_tuples(name):
     """Every merged rectangle covers retained tuples exactly once."""
-    result = compiled(name)
-    for rule_id, instances in result.merged.items():
-        atoms = set(result.inst.per_rule[rule_id].tuples)
+    inst, merged, _ = compiled_stages(name)
+    for rule_id, instances in merged.items():
+        atoms = set(inst.per_rule[rule_id].tuples)
         covered = []
         for instance in instances:
             covered.extend(itertools.product(*instance.values))
         assert len(covered) == len(set(covered)), f"overlap in {name}:{rule_id}"
         assert set(covered) == atoms, f"coverage gap in {name}:{rule_id}"
-    assert_daughter_keys_supported(result)
+    assert_daughter_keys_supported(compiled(name).grammar, inst)
 
 
 def test_merge_collapses_one_to_one_links():
     # rule np links num through a single mother slot and a single daughter
     # slot, so both values ride in one merged instance
-    result = compiled("tiny_agreement")
-    (np_instance,) = result.merged["np"]
+    _, merged, _ = compiled_stages("tiny_agreement")
+    (np_instance,) = merged["np"]
     assert set(np_instance.values[0]) == {"sg", "pl"}
     # rule s uses the variable in two daughter slots, so it must fission
-    assert len(result.merged["s"]) == 2
+    assert len(merged["s"]) == 2
 
 
 def test_rect_names_are_deterministic():
@@ -173,7 +171,7 @@ def test_index_naming_dims_match_constrained_features(name):
     "name, retained", [("shuttle_no_rels", 631), ("shuttle_rels", 745), ("shuttle_unlinked", 724)]
 )
 def test_shuttle_instantiation_counts(name, retained):
-    inst = compiled(name).inst
+    inst, _, _ = compiled_stages(name)
     assert sum(len(vectors) for vectors in inst.supported.values()) == 976
     assert sum(len(s.tuples) for s in inst.per_rule.values()) == retained
 
@@ -206,7 +204,8 @@ def test_instantiation_keys_of_one_and_no_positions():
         """
     )
     result = compile_grammar(g)
-    assert sum(len(s.tuples) for s in result.inst.per_rule.values()) == 10
+    inst = compute_instantiations(result.grammar)
+    assert sum(len(s.tuples) for s in inst.per_rule.values()) == 10
     language = oracle_enumerate(g, 6)
     assert len(language) == 15
     assert cfg_enumerate(result.cfg, 6) == language
@@ -220,7 +219,7 @@ def test_compiled_language_matches_oracle(name):
     g = grammar(name)
     result = compiled(name)
     want = oracle_enumerate(g, 6)
-    assert cfg_enumerate(result.cfg_raw, 6) == want
+    assert cfg_enumerate(compiled_stages(name)[2], 6) == want
     assert cfg_enumerate(result.cfg, 6) == want
 
 
@@ -291,7 +290,8 @@ def test_mother_expansion_corners_match_oracle(name):
     text, supported = MOTHER_CORNERS[name]
     g = parse_grammar(text)
     result = compile_grammar(g)
-    assert {sym: set(vectors) for sym, vectors in result.inst.supported.items()} == supported
+    inst = compute_instantiations(result.grammar)
+    assert {sym: set(vectors) for sym, vectors in inst.supported.items()} == supported
     for max_len in range(1, 6):
         assert cfg_enumerate(result.cfg, max_len) == oracle_enumerate(g, max_len)
 
@@ -355,22 +355,60 @@ def test_shuttle_naive_counts_are_astronomical():
 # ---- left-recursion elimination ----
 
 
+def test_components_of_a_small_graph():
+    """Roots in order, children in listed order; "c" is only a child."""
+    graph = {"a": ["b"], "b": ["c", "a"], "d": ["d", "a"], "e": []}
+    assert components(graph) == [["c"], ["a", "b"], ["d"], ["e"]]
+
+
+# Graphs over a few names: children as lists or, as elimination passes them,
+# as sets; self-loops and names that are only children are common.
+_graphs = st.dictionaries(
+    st.sampled_from("abcdefg"),
+    st.lists(st.sampled_from("abcdefgh"), max_size=3) | st.sets(st.sampled_from("abcdefgh"), max_size=3),
+    max_size=7,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=_graphs)
+def test_components_are_the_mutual_reachability_classes(edges):
+    """Brute force: each node's closure, then the nodes that reach it back."""
+    nodes = set(edges).union(*edges.values())
+    reach = {node: {node} for node in nodes}
+    for _ in nodes:
+        for node in nodes:
+            for child in edges.get(node, ()):
+                reach[node] |= reach[child]
+    classes = {frozenset(u for u in reach[v] if v in reach[u]) for v in nodes}
+    found = components(edges)
+    assert sorted(itertools.chain(*found)) == sorted(nodes)
+    assert {frozenset(c) for c in found} == classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=_graphs)
+def test_components_come_after_every_component_they_reach(edges):
+    place = {node: i for i, component in enumerate(components(edges)) for node in component}
+    for node, children in edges.items():
+        for child in children:
+            assert place[child] <= place[node]
+
+
 def test_direct_left_recursion_removed():
-    result = compiled("direct_left")
-    assert not leftmost_cycle_free(result.cfg_raw)
-    assert leftmost_cycle_free(result.cfg)
+    assert not leftmost_cycle_free(compiled_stages("direct_left")[2])
+    assert leftmost_cycle_free(compiled("direct_left").cfg)
 
 
 def test_indirect_left_recursion_removed():
-    result = compiled("indirect_left")
-    assert not leftmost_cycle_free(result.cfg_raw)
-    assert leftmost_cycle_free(result.cfg)
+    assert not leftmost_cycle_free(compiled_stages("indirect_left")[2])
+    assert leftmost_cycle_free(compiled("indirect_left").cfg)
 
 
 def test_right_recursion_left_untouched():
-    result = compiled("right_rec")
-    assert leftmost_cycle_free(result.cfg_raw)
-    assert result.cfg == result.cfg_raw
+    cfg_raw = compiled_stages("right_rec")[2]
+    assert leftmost_cycle_free(cfg_raw)
+    assert compiled("right_rec").cfg == cfg_raw
 
 
 @pytest.mark.parametrize("name", ALL_ASSETS)
@@ -554,7 +592,7 @@ def test_random_feature_grammars_compile_to_the_oracle_language(text):
         else:
             assert "cyclic unit production" in str(err)
         return
-    assert_daughter_keys_supported(first)
+    assert_daughter_keys_supported(first.grammar, compute_instantiations(first.grammar, cap_tuples=10**4))
     second = compile_grammar(g, cap_tuples=10**4)
     assert cfg_to_text(first.cfg) == cfg_to_text(second.cfg)
     language = oracle_enumerate(g, 4)
