@@ -20,7 +20,7 @@ from typing import NoReturn, Optional, Sequence, Union
 from .analysis import compare, diff_to_table, k_words_per_category, unlink_features, wordplus_grammar
 from .cfg import cfg_from_text, cfg_to_text
 from .compiler import CompileResult, compile_grammar, strip_features
-from .errors import CAP_STRINGS, GramlmError, ResourceCapError, UndefinedPerplexityError
+from .errors import CAP_STRINGS, CAP_TUPLES, GramlmError, ResourceCapError, UndefinedPerplexityError
 from .grammar import Grammar, parse_grammar_file, print_grammar, surface_tokens
 from .oracle import oracle_enumerate, oracle_parse
 from .pfsg import (
@@ -96,7 +96,7 @@ def _add_caps(p: argparse.ArgumentParser, strings: bool = False) -> None:
     p.add_argument(
         "--cap-tuples",
         type=_count,
-        default=10**7,
+        default=CAP_TUPLES,
         metavar="N",
         help="abort instantiation beyond N candidate tuples, and left-recursion "
         "elimination beyond N substituted alternatives (default: %(default)s)",
@@ -196,12 +196,13 @@ def _by_length(string: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     grammar = _load_variant(args)
-    keep = _keep_features(args.features)
     if args.against:
+        grammar = strip_features(grammar, _keep_features(args.features))
         cfg = cfg_from_text(Path(args.against).read_text(encoding="utf-8"))
     else:
-        cfg = _compile(args, grammar).cfg
-    want = oracle_enumerate(strip_features(grammar, keep), args.max_len, cap=args.cap_strings)
+        result = _compile(args, grammar)
+        grammar, cfg = result.grammar, result.cfg
+    want = oracle_enumerate(grammar, args.max_len, cap=args.cap_strings)
     got = cfg_enumerate(cfg, args.max_len, cap=args.cap_strings)
     if want == got:
         print(f"EQUIVALENT up to length {args.max_len} ({len(want)} strings)")
@@ -295,10 +296,7 @@ def _cmd_perplexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_variant(args: argparse.Namespace) -> int:
-    grammar = _load_variant(args)
-    keep = _keep_features(args.features)
-    if keep != "all":
-        grammar = strip_features(grammar, keep)
+    grammar = strip_features(_load_variant(args), _keep_features(args.features))
     sys.stdout.write(print_grammar(grammar))
     return EXIT_OK
 

@@ -44,17 +44,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, components, seq
-from .errors import CompileError, ResourceCapError
-from .grammar import (
-    SYNTACTIC,
-    Atom,
-    Category,
-    Grammar,
-    LexEntry,
-    Rule,
-    Subset,
-    Var,
-)
+from .errors import CAP_TUPLES, CompileError, ResourceCapError
+from .grammar import SYNTACTIC, Category, Grammar, LexEntry, Rule, Var
 
 Vector = tuple[str, ...]
 
@@ -209,14 +200,9 @@ def _lex_vectors(index: _Index, category: Category) -> Iterable[Vector]:
     choices = []
     for feature in index.naming_dims[category.symbol]:
         value = constraint.get(feature)
-        if value is None:
-            choices.append(index.domains[feature])
-        elif isinstance(value, Atom):
-            choices.append((value.value,))
-        elif isinstance(value, Subset):
-            choices.append(value.values)
-        else:  # pragma: no cover - validation rejects lexical variables
+        if isinstance(value, Var):  # validation rejects lexical variables
             raise AssertionError("variable in lexical entry")
+        choices.append(index.domains[feature] if value is None else value.values)
     return product(*choices)
 
 
@@ -231,7 +217,7 @@ def _projector(indices: Sequence[int]) -> Callable[[Sequence[str]], Vector]:
     return lambda values: ()
 
 
-def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instantiations:
+def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> Instantiations:
     """Supported-and-demanded atomic tuples per rule.
 
     Each rule's candidate tuples are enumerated once over its dimensions.
@@ -301,12 +287,7 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = 10**7) -> Instant
         for dim in dims:
             slot = dim.slots[0]
             constraint = categories[slot.occ].constraint_for(slot.feature)
-            if isinstance(constraint, Atom):
-                choices.append((constraint.value,))
-            elif isinstance(constraint, Subset):
-                choices.append(constraint.values)
-            else:
-                choices.append(index.domains[slot.feature])
+            choices.append(index.domains[slot.feature] if isinstance(constraint, Var) else constraint.values)
         free_spans = [
             index.domains[feature] for feature in index.naming_dims[rule.mother.symbol]
         ]
@@ -549,11 +530,7 @@ def emit_cfg(
         for entry in index.lex_by_symbol.get(symbol, ()):
             for feature, value in entry.category.constraints:
                 pos = positions.get(feature)
-                if pos is None:
-                    continue
-                if isinstance(value, Atom) and value.value not in rect[pos]:
-                    break
-                if isinstance(value, Subset) and rect[pos].isdisjoint(value.values):
+                if pos is not None and rect[pos].isdisjoint(value.values):
                     break
             else:
                 alternatives.append(seq([Term(tok) for tok in entry.surface]))
@@ -595,7 +572,7 @@ def _leftmost_refs(expr: Expr) -> tuple[set[str], bool]:
     return refs, True
 
 
-def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = 10**7) -> ContextFreeGrammar:
+def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = CAP_TUPLES) -> ContextFreeGrammar:
     """Rewrite left-recursive productions using trailing repetition.
 
     Direct recursion ``A -> A a1 | .. | A ak | b1 | .. | bm`` becomes
@@ -708,28 +685,18 @@ class ExpansionStats:
 
 
 def expansion_stats(
-    grammar: Grammar, merged: Mapping[str, Sequence[RuleInstance]]
+    inst: Instantiations, merged: Mapping[str, Sequence[RuleInstance]]
 ) -> ExpansionStats:
     """Compare naive full-domain instantiation against the merged instances.
 
-    The naive count instantiates every constrained slot over its feature's
-    full domain (variables once per distinct variable), summed over rules;
-    the lexicon is not counted on either side.
+    The naive count instantiates every dimension of every rule (see
+    :class:`DimSpec`) over its feature's full domain, summed over rules; the
+    lexicon is not counted on either side.
     """
-    sizes = {d.name: len(d.values) for d in grammar.features}
-    naive = 0
-    for rule in grammar.rules:
-        combos = 1
-        seen_vars: set[str] = set()
-        for cat in rule.categories():
-            for feature, constraint in cat.constraints:
-                if isinstance(constraint, Var):
-                    if constraint.name not in seen_vars:
-                        seen_vars.add(constraint.name)
-                        combos *= sizes[feature]
-                else:
-                    combos *= sizes[feature]
-        naive += combos
+    domains = inst.index.domains
+    naive = sum(
+        prod(len(domains[dim.slots[0].feature]) for dim in rule.dims) for rule in inst.per_rule.values()
+    )
     emitted = sum(len(instances) for instances in merged.values())
     return ExpansionStats(naive, emitted)
 
@@ -744,7 +711,7 @@ class CompileResult:
 def compile_grammar(
     grammar: Grammar,
     features: Union[str, Iterable[str]] = "syntactic",
-    cap_tuples: int = 10**7,
+    cap_tuples: int = CAP_TUPLES,
 ) -> CompileResult:
     """Run the whole pipeline on an (already variant-transformed) grammar.
 
@@ -755,4 +722,4 @@ def compile_grammar(
     inst = compute_instantiations(stripped, cap_tuples=cap_tuples)
     merged = merge_all(stripped, inst)
     cfg = eliminate_left_recursion(emit_cfg(stripped, inst, merged), cap=cap_tuples)
-    return CompileResult(stripped, cfg, expansion_stats(stripped, merged))
+    return CompileResult(stripped, cfg, expansion_stats(inst, merged))

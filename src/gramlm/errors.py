@@ -41,9 +41,11 @@ class UnknownTokenError(GramlmError):
         self.position = position
 
 
-# Default cap on the strings one enumeration stores, for the library and
-# the command line alike.
+# Default caps, for the library and the command line alike: on the strings
+# one enumeration stores, and on the tuples instantiation enumerates (also
+# the alternatives left-recursion elimination substitutes).
 CAP_STRINGS = 8 * 10**6
+CAP_TUPLES = 10**7
 
 
 class ResourceCapError(GramlmError):

@@ -8,6 +8,8 @@ Constraint values on a category:
 
 * :class:`Atom` — the feature must be exactly one value.
 * :class:`Subset` — the feature must be one of an explicit value set.
+  Both give the values they allow as ``values``, so an atom reads as a
+  one-value subset.
 * :class:`Var` — a rule-scoped variable; all slots sharing the variable
   must agree on a single value.
 * absence — the feature is unconstrained on that category occurrence.
@@ -48,10 +50,14 @@ class FeatureDecl:
 class Atom:
     value: str
 
+    @property
+    def values(self) -> tuple[str, ...]:
+        return (self.value,)
+
 
 @dataclass(frozen=True)
 class Subset:
-    values: tuple[str, ...]  # canonicalized to domain order
+    values: tuple[str, ...]  # canonicalized to domain order, unknown values last
 
 
 @dataclass(frozen=True)
@@ -333,7 +339,11 @@ def parse_grammar_file(path) -> Grammar:
 
 
 def _canonicalize(grammar: Grammar, diagnostics: list[Diagnostic]) -> Grammar:
-    """Order constraints by feature declaration and subset values by domain."""
+    """Order constraints by feature declaration and subset values by domain.
+
+    A subset value outside its domain sorts after the domain's, by name, and
+    is kept so that :func:`validate` reports it.
+    """
     decl_index = {d.name: i for i, d in enumerate(grammar.features)}
     domains = {d.name: d.values for d in grammar.features}
 
@@ -349,8 +359,8 @@ def _canonicalize(grammar: Grammar, diagnostics: list[Diagnostic]) -> Grammar:
             seen.add(feature)
             if feature in domains and isinstance(value, Subset):
                 order = {v: i for i, v in enumerate(domains[feature])}
-                known = [v for v in value.values if v in order]
-                value = Subset(tuple(sorted(set(known), key=order.__getitem__)))
+                ranked = sorted(set(value.values), key=lambda v: (order.get(v, len(order)), v))
+                value = Subset(tuple(ranked))
             fixed.append((feature, value))
         fixed.sort(key=lambda pair: decl_index.get(pair[0], len(decl_index)))
         return Category(cat.symbol, tuple(fixed))
@@ -387,33 +397,21 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
                     Diagnostic(line, "unknown-feature", f"feature {feature!r} is not declared")
                 )
                 continue
-            domain = domains[feature]
-            if isinstance(value, Atom) and value.value not in domain:
-                out.append(
-                    Diagnostic(
-                        line,
-                        "unknown-value",
-                        f"value {value.value!r} is not in the domain of {feature!r}",
-                    )
-                )
-            elif isinstance(value, Subset):
-                for v in value.values:
-                    if v not in domain:
-                        out.append(
-                            Diagnostic(
-                                line,
-                                "unknown-value",
-                                f"value {v!r} is not in the domain of {feature!r}",
-                            )
+            if isinstance(value, Var):
+                if not allow_vars:
+                    out.append(
+                        Diagnostic(
+                            line,
+                            "lexical-var",
+                            f"variable {value.name!r} is not allowed in a lexical entry",
                         )
-            elif isinstance(value, Var) and not allow_vars:
-                out.append(
-                    Diagnostic(
-                        line,
-                        "lexical-var",
-                        f"variable {value.name!r} is not allowed in a lexical entry",
                     )
-                )
+                continue
+            for v in value.values:
+                if v not in domains[feature]:
+                    out.append(
+                        Diagnostic(line, "unknown-value", f"value {v!r} is not in the domain of {feature!r}")
+                    )
 
     rule_ids: set[str] = set()
     mothers: set[str] = set()

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CAP_STRINGS, ResourceCapError, UnknownTokenError
-from .grammar import Atom, Category, Grammar, LexEntry, Rule, Subset, Var, constrained_features, surface_tokens
+from .grammar import Category, Grammar, LexEntry, Rule, Var, constrained_features, surface_tokens
 
 FREE = None
 
@@ -79,8 +79,7 @@ class _Analyzer:
             if isinstance(value, Var):
                 constraints.append((index[feature], None, value.name))
             else:
-                allowed = (value.value,) if isinstance(value, Atom) else value.values
-                constraints.append((index[feature], frozenset(allowed), None))
+                constraints.append((index[feature], frozenset(value.values), None))
         return cat.symbol, tuple(constraints)
 
     def lexical_items(self, cat: Category) -> list[FMap]:
@@ -90,14 +89,9 @@ class _Analyzer:
         constraint = dict(cat.constraints)
         for feature in feats:
             value = constraint.get(feature)
-            if value is None:
-                choices.append((FREE,))
-            elif isinstance(value, Atom):
-                choices.append((value.value,))
-            elif isinstance(value, Subset):
-                choices.append(tuple(value.values))
-            else:  # pragma: no cover - validation rejects lexical variables
+            if isinstance(value, Var):  # validation rejects lexical variables
                 raise AssertionError("variable in lexical entry")
+            choices.append((FREE,) if value is None else value.values)
         return [tuple(combo) for combo in product(*choices)]
 
     def match_item(
@@ -137,14 +131,12 @@ class _Analyzer:
             value = constraint.get(feature)
             if value is None:
                 slots.append((FREE,))
-            elif isinstance(value, Atom):
-                slots.append((value.value,))
-            elif isinstance(value, Subset):
-                slots.append(tuple(value.values))
-            else:
+            elif isinstance(value, Var):
                 slots.append(value.name)
                 if names.count(value.name) > 1:
                     repeated.setdefault(value.name, tuple(self.domains[feature]))
+            else:
+                slots.append(value.values)
         return slots, repeated
 
     def mother_items(self, rule: Rule, bindings: dict[str, str]) -> list[FMap]:

@@ -580,8 +580,6 @@ class _Earley:
             words, refs = rules = self.rules[name] = ({}, [])
             lhs, wants, after = self.lhs, self.wants, self.after
             for symbols, weight in self.productions[name]:
-                if not symbols:
-                    continue
                 kind, value = symbols[0]
                 if kind == _TERM:
                     words.setdefault(symbols[0], []).append((len(lhs), weight))

@@ -199,6 +199,26 @@ def test_bad_cfg_names_its_line(tmp_path, text):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "constraint, line",
+    [
+        ("rule s: S -> N:[num={sg, zz}]\nlex \"n\": N:[num=sg]", 3),
+        ("rule s: S -> N:[num={zz}]\nlex \"n\": N:[num=sg]", 3),
+        ("rule s: S -> N\nlex \"n\": N:[num={pl, qq}]", 4),
+    ],
+    ids=["subset-in-rule", "subset-of-one", "subset-in-lexicon"],
+)
+@pytest.mark.parametrize("command", ["compile", "variant"])
+def test_unknown_subset_value_names_its_line(tmp_path, command, constraint, line):
+    bad = tmp_path / "bad.gram"
+    bad.write_text(f"feature num syn {{sg, pl}}\nstart S\n{constraint}\n", encoding="utf-8")
+    args = ("--out", tmp_path / "out") if command == "compile" else ()
+    r = run(command, bad, *args)
+    assert r.returncode == 1
+    assert f"line {line}: unknown-value: " in r.stderr
+    assert r.stdout == ""
+
+
 def test_unsupported_start_symbol_is_a_usage_error(tmp_path):
     bad = tmp_path / "unsupported.gram"
     bad.write_text(

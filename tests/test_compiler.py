@@ -1,5 +1,6 @@
 """Compile pipeline: stripping, instantiation, merging, emission, elimination."""
 
+import inspect
 import itertools
 import re
 import time
@@ -28,8 +29,20 @@ from gramlm import (
     strip_features,
 )
 from gramlm.cfg import ContextFreeGrammar, Ref, Term, alt, components, seq
+from gramlm.cli import _build_parser
 from gramlm.compiler import _Index, _projector, rect_name
-from gramlm.grammar import constrained_features
+from gramlm.errors import CAP_TUPLES
+from gramlm.grammar import (
+    SYNTACTIC,
+    Atom,
+    Category,
+    FeatureDecl,
+    Grammar,
+    LexEntry,
+    Rule,
+    Var,
+    constrained_features,
+)
 
 ALL_ASSETS = TOYS + SHUTTLES
 
@@ -350,6 +363,39 @@ def test_shuttle_naive_counts_are_astronomical():
     assert compiled("shuttle_rels").stats.naive_count == 249203089
     assert compiled("shuttle_no_rels").stats.naive_count == 249202913
     assert compiled("shuttle_rels").stats.emitted_rules == 91
+
+
+def test_a_lexical_variable_is_never_read_as_a_domain():
+    """Validation rejects it; built past validation, it still raises."""
+    n_sg = Category("N", (("num", Atom("sg")),))
+    g = Grammar(
+        (FeatureDecl("num", SYNTACTIC, ("sg", "pl")),),
+        "S",
+        (Rule("s", Category("S"), (n_sg,)),),
+        (LexEntry(("n",), Category("N", (("num", Var("X")),))),),
+    )
+    for run in (compute_instantiations, lambda g: oracle_enumerate(g, 1)):
+        with pytest.raises(AssertionError, match="variable in lexical entry"):
+            run(g)
+
+
+def test_library_tuple_caps_match_the_command_line():
+    parser = _build_parser()
+    for argv in (
+        ["compile", "g.gram", "--out", "d"],
+        ["check", "g.gram", "--max-len", "1"],
+        ["stats", "g.gram"],
+        ["parse", "g.gram", "w"],
+        ["enumerate", "g.gram", "--max-len", "1"],
+        ["perplexity", "g.gram", "c.txt"],
+    ):
+        assert parser.parse_args(argv).cap_tuples == CAP_TUPLES
+    for function, name in (
+        (compute_instantiations, "cap_tuples"),
+        (compile_grammar, "cap_tuples"),
+        (eliminate_left_recursion, "cap"),
+    ):
+        assert inspect.signature(function).parameters[name].default == CAP_TUPLES
 
 
 # ---- left-recursion elimination ----

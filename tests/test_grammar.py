@@ -26,7 +26,15 @@ from gramlm import (
     validate,
 )
 from gramlm.cfg import ContextFreeGrammar, Ref, Star, Term, seq
-from gramlm.grammar import constrained_features
+from gramlm.grammar import (
+    SYNTACTIC,
+    Category,
+    FeatureDecl,
+    LexEntry,
+    Rule,
+    _canonicalize,
+    constrained_features,
+)
 
 ALL_ASSETS = TOYS + SHUTTLES
 
@@ -144,6 +152,57 @@ def test_validation_codes(text, code):
     with pytest.raises(ValidationError) as err:
         parse_grammar(text)
     assert code in {d.code for d in err.value.diagnostics}
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "feature num syn {sg, pl}\nstart S\nrule s: S -> N:[num={sg, zz}]\nlex \"n\": N:[num=sg]\n",
+            [(3, "zz")],
+        ),
+        (
+            "feature num syn {sg, pl}\nstart S\nrule s: S -> N:[num={zz}]\nlex \"n\": N:[num=sg]\n",
+            [(3, "zz")],
+        ),
+        (
+            "feature num syn {sg, pl}\nstart S\nrule s: S -> N\nlex \"n\": N:[num={pl, qq}]\n",
+            [(4, "qq")],
+        ),
+        (
+            "feature num syn {sg, pl}\nstart S\nrule s: S -> N:[num={qq, sg, zz}]\nlex \"n\": N:[num=aa]\n",
+            [(3, "qq"), (3, "zz"), (4, "aa")],
+        ),
+    ],
+    ids=["subset-in-rule", "subset-of-one", "subset-in-lexicon", "several"],
+)
+def test_every_unknown_value_names_its_line(text, expected):
+    """Inside a subset too: no unknown value is dropped before validation."""
+    with pytest.raises(ValidationError) as err:
+        parse_grammar(text)
+    assert [(d.line, d.code, d.message) for d in err.value.diagnostics] == [
+        (line, "unknown-value", f"value {value!r} is not in the domain of 'num'") for line, value in expected
+    ]
+
+
+def test_canonical_subset_order_puts_unknown_values_last_by_name():
+    """Domain order first, then unknown values by name; duplicates go. The
+    order must not depend on set order (the hash seed)."""
+    decl = FeatureDecl("num", SYNTACTIC, ("sg", "du", "pl"))
+    cat = Category("N", (("num", Subset(("zz", "pl", "aa", "sg", "pl", "zz"))),))
+    raw = Grammar(
+        (decl,), "S", (Rule("s", Category("S"), (cat,), line=3),), (LexEntry(("n",), Category("N"), line=4),)
+    )
+    canonical = _canonicalize(raw, [])
+    assert canonical.rules[0].daughters[0].constraints == (("num", Subset(("sg", "pl", "aa", "zz"))),)
+    assert [str(d) for d in validate(canonical)] == [
+        "line 3: unknown-value: value 'aa' is not in the domain of 'num'",
+        "line 3: unknown-value: value 'zz' is not in the domain of 'num'",
+    ]
+
+
+def test_an_atom_reads_as_a_one_value_subset():
+    assert Atom("sg").values == Subset(("sg",)).values == ("sg",)
 
 
 @pytest.mark.parametrize(

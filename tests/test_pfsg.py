@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import SHUTTLES, TOYS, compiled, grammar, metrics, pfsgs
@@ -177,11 +178,31 @@ def test_count_cap_saturates_at_the_cap(cap, count):
     assert result.log2_prob == pytest.approx(math.log2(25) - 23, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [300, 600, 800])
+def test_sums_of_far_apart_exponents_stay_exact(n):
+    """w^n has fib(n) derivations. The inside values summed into one item
+    differ more in binary exponent the longer the sentence; across these
+    lengths the sums add values of equal, higher and lower exponent."""
+    count, prob = [1, 1], [Fraction(1), Fraction(1, 4)]
+    for _ in range(2, n + 1):
+        count.append(count[-1] + count[-2])
+        prob.append((prob[-1] + prob[-2]) / 4)
+    cfg = cfg_from_text('s -> "w" s | "w" "w" s | "w" | "w" "w" ;')
+    result = cfg_parse(cfg, ["w"] * n, count_cap=10**200)
+    assert result.derivation_count == count[n]
+    want = math.log2(prob[n].numerator) - math.log2(prob[n].denominator)
+    assert result.log2_prob == pytest.approx(want, rel=1e-12)
+
+
 def test_unit_cycle_is_a_compile_error():
-    """At the first call, even when the tokens reach no production."""
+    """At the first call, even when the tokens reach no production. A
+    repetition over a nullable body, the only source of an empty
+    alternative, always comes with the unit self-loop ``name@i -> name@i``,
+    so no rule's positions are ever built from an empty alternative."""
     for text, cycle in [
         ('a -> b | "x" ; b -> a ;', "a -> b -> a"),
         ('s -> a ; a -> b | "x" ; b -> c ; c -> a | "y" ;', "a -> c -> b -> a"),
+        ('s -> "a" ( ( "b" )* )* ;', "s@0 -> s@0"),
     ]:
         for tokens in (["x"], ["zzz"]):
             with pytest.raises(CompileError) as caught:
