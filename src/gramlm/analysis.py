@@ -7,7 +7,7 @@ reports to find which categories grew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .errors import GramlmError
@@ -52,7 +52,7 @@ def k_words_per_category(grammar: Grammar, k: int) -> Grammar:
         if seen < k:
             counts[key] = seen + 1
             kept.append(entry)
-    return Grammar(grammar.features, grammar.start, grammar.rules, tuple(kept))
+    return replace(grammar, lexicon=tuple(kept))
 
 
 def unlink_features(grammar: Grammar, rule_id: str, features: Iterable[str]) -> Grammar:
@@ -89,7 +89,7 @@ def unlink_features(grammar: Grammar, rule_id: str, features: Iterable[str]) -> 
         else r
         for r in grammar.rules
     )
-    return Grammar(grammar.features, grammar.start, rules, grammar.lexicon)
+    return replace(grammar, rules=rules)
 
 
 def linked_features(grammar: Grammar, rule_id: str) -> tuple[str, ...]:

@@ -4,7 +4,7 @@ Exit codes are uniform across subcommands:
 
 * 0 — success (parse accepted, enumerations equivalent, ...)
 * 1 — usage or input problems: bad flags, unreadable files, grammar
-  errors, unknown tokens
+  errors, unknown tokens, a corpus file with no sentences
 * 2 — a semantic mismatch: a rejected sentence, differing languages in
   ``check``, or a corpus with no in-language sentence
 * 3 — a configured resource cap was exceeded
@@ -281,8 +281,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_perplexity(args: argparse.Namespace) -> int:
-    result = _compile(args, _load_variant(args))
     corpus = _read_corpus(Path(args.corpus))
+    if not corpus:
+        raise GramlmError(f"{args.corpus}: the corpus has no sentences")
+    result = _compile(args, _load_variant(args))
     try:
         report = perplexity(result.cfg, corpus)
     except UndefinedPerplexityError as err:

@@ -17,18 +17,21 @@ The pipeline has four stages:
    of the tuple set. A dimension merges only if its slots span at most one
    mother and at most one daughter position; cross-daughter and repeated-
    mother variable groups must stay atomic or the cover would admit
-   cross-terms the tuples never licensed.
+   cross-terms the tuples never licensed. A value set is a bit mask over
+   its feature's domain; each instance keeps its masks beside the values
+   they decode to, and each distinct mask of a feature is decoded once.
 4. :func:`emit_cfg` — nonterminals are (symbol, rectangle) pairs, where a
-   rectangle gives a value set per naming dimension. Emission walks
+   rectangle gives a value set per naming dimension, as a bit mask, and is
+   decoded to its name once, when first demanded. Emission walks
    demanded rectangles from the start symbol's full supported rectangle,
    gathering every merged instance whose mother side intersects the
    rectangle and *restricting* linked dimensions by it. This restriction
    is the load-bearing mechanism: a rectangle demanding one atomic value
    of a linked feature splits the daughters one way per instance, while a
    rectangle demanding the full range rides through a one-mother/one-
-   daughter link as a single alternative. A daughter rectangle takes the
-   restricted value sets where the rule fixes it and the symbol's
-   supported projection elsewhere.
+   daughter link as a single alternative. Restricting is a bitwise AND of
+   masks. A daughter rectangle takes the restricted masks where the rule
+   fixes it and the symbol's supported projection elsewhere.
 
 :func:`eliminate_left_recursion` and :func:`expansion_stats` round out the
 module.
@@ -36,7 +39,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -45,7 +48,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, components, seq
 from .errors import CAP_TUPLES, CompileError, ResourceCapError
-from .grammar import SYNTACTIC, Category, Grammar, LexEntry, Rule, Var
+from .grammar import SYNTACTIC, Category, FeatureDecl, Grammar, LexEntry, Rule, Var
 
 Vector = tuple[str, ...]
 
@@ -69,14 +72,14 @@ def strip_features(grammar: Grammar, keep: Union[str, Iterable[str]] = "syntacti
     def strip_category(cat: Category) -> Category:
         return Category(cat.symbol, tuple((f, v) for f, v in cat.constraints if f in kept))
 
-    return Grammar(
-        tuple(d for d in grammar.features if d.name in kept),
-        grammar.start,
-        tuple(
+    return replace(
+        grammar,
+        features=tuple(d for d in grammar.features if d.name in kept),
+        rules=tuple(
             Rule(r.id, strip_category(r.mother), tuple(strip_category(d) for d in r.daughters), line=r.line)
             for r in grammar.rules
         ),
-        tuple(LexEntry(e.surface, strip_category(e.category), line=e.line) for e in grammar.lexicon),
+        lexicon=tuple(LexEntry(e.surface, strip_category(e.category), line=e.line) for e in grammar.lexicon),
     )
 
 
@@ -98,11 +101,13 @@ class DimSpec:
 
 @dataclass(frozen=True)
 class RuleInstance:
-    """A merged instance: a value set per dimension (a rectangle of tuples)."""
+    """A merged instance: a value set per dimension (a rectangle of tuples),
+    as values in domain order and as the bit masks emission works on."""
 
     rule_id: str
     dims: tuple[DimSpec, ...]
     values: tuple[tuple[str, ...], ...]
+    masks: tuple[int, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -123,16 +128,45 @@ class Instantiations:
     index: _Index  # the lookup tables of the grammar they were computed for
 
 
+class _ValueCodes:
+    """One grammar's feature values as bits: value ``i`` of a domain is
+    ``1 << i``, so a value set is a bit mask. A mask is decoded back to
+    domain indices and values, in domain order, once per feature."""
+
+    def __init__(self, features: Iterable[FeatureDecl]):
+        self.domains = {d.name: d.values for d in features}
+        self.bits = {name: {v: 1 << i for i, v in enumerate(values)} for name, values in self.domains.items()}
+        self._decoded: dict[str, dict[int, tuple[tuple[int, ...], tuple[str, ...]]]] = {
+            name: {} for name in self.domains
+        }
+
+    def mask(self, feature: str, values: Iterable[str]) -> int:
+        """The bit mask of a set of ``feature``'s values."""
+        bits = self.bits[feature]
+        mask = 0
+        for value in values:
+            mask |= bits[value]
+        return mask
+
+    def decode(self, feature: str, mask: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The domain indices and the values of ``mask``, in domain order."""
+        known = self._decoded[feature]
+        found = known.get(mask)
+        if found is None:
+            domain = self.domains[feature]
+            indices = tuple(i for i in range(len(domain)) if mask >> i & 1)
+            found = known[mask] = (indices, tuple(domain[i] for i in indices))
+        return found
+
+
 class _Index:
     """Shared lookup tables for one grammar."""
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
         self.decl_index = {d.name: i for i, d in enumerate(grammar.features)}
-        self.domains = {d.name: d.values for d in grammar.features}
-        self.value_index = {
-            name: {v: i for i, v in enumerate(values)} for name, values in self.domains.items()
-        }
+        self.codes = _ValueCodes(grammar.features)
+        self.domains = self.codes.domains
         # Naming dimensions as constrained_features(include_lexicon=False)
         # defines them, gathered in one pass over the rules.
         constrained: dict[str, set[str]] = {}
@@ -386,8 +420,8 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
 
     per_rule = {}
     for rule, dims, tuples in zip(grammar.rules, rule_dims, retained):
-        domains = [index.value_index[dim.slots[0].feature] for dim in dims]
-        tuples.sort(key=lambda values: tuple(dom[v] for dom, v in zip(domains, values)))
+        bits = [index.codes.bits[dim.slots[0].feature] for dim in dims]
+        tuples.sort(key=lambda values: tuple(code[v] for code, v in zip(bits, values)))
         per_rule[rule.id] = InstantiationSet(rule.id, dims, tuple(tuples))
     return Instantiations(
         per_rule,
@@ -408,14 +442,18 @@ def merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance
     order instances are visited in, and the result is sorted in the
     (feature declaration, domain) order of its value sets.
 
-    Values are coded once as domain indices, each set as a bit mask, and
-    decoded at the end.
+    Each value is coded as its bit (see :class:`_ValueCodes`), so each set
+    is a bit mask. Every instance keeps its masks, for emission, and the
+    values they decode to.
     """
-    decls = {d.name: d.values for d in grammar.features}
-    domains = [decls[dim.slots[0].feature] for dim in inst.dims]
-    codes = [{v: 1 << i for i, v in enumerate(domain)} for domain in domains]
+    return _merge_ranges(inst, _ValueCodes(grammar.features))
+
+
+def _merge_ranges(inst: InstantiationSet, codes: _ValueCodes) -> tuple[RuleInstance, ...]:
+    features = [dim.slots[0].feature for dim in inst.dims]
+    bits = [codes.bits[feature] for feature in features]
     mergeable = [d_idx for d_idx, dim in enumerate(inst.dims) if dim.mergeable]
-    instances = [tuple(code[v] for code, v in zip(codes, values)) for values in inst.tuples]
+    instances = [tuple(map(dict.__getitem__, bits, values)) for values in inst.tuples]
     while True:
         before = len(instances)
         for d_idx in mergeable:
@@ -426,25 +464,22 @@ def merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance
             instances = [key[:d_idx] + (mask,) + key[d_idx:] for key, mask in buckets.items()]
         if len(instances) == before:
             break
-    indexed = sorted(
-        tuple(tuple(i for i in range(len(domain)) if mask >> i & 1) for domain, mask in zip(domains, masks))
-        for masks in instances
+    # Sorted by the domain indices of each set in turn; equal indices
+    # decode to the same values, so those never decide the order.
+    decoded = sorted(
+        (tuple(map(codes.decode, features, masks)), masks) for masks in instances
     )
     return tuple(
-        RuleInstance(
-            inst.rule_id,
-            inst.dims,
-            tuple(tuple(domain[i] for i in span) for domain, span in zip(domains, spans)),
-        )
-        for spans in indexed
+        RuleInstance(inst.rule_id, inst.dims, tuple(values for _, values in sets), masks)
+        for sets, masks in decoded
     )
 
 
 def merge_all(grammar: Grammar, inst: Instantiations) -> dict[str, tuple[RuleInstance, ...]]:
-    """merge_ranges applied to every rule, keyed by rule id in rule order."""
-    return {
-        rule.id: merge_ranges(inst.per_rule[rule.id], grammar) for rule in grammar.rules
-    }
+    """merge_ranges applied to every rule, keyed by rule id in rule order,
+    with the value codes of ``inst``'s grammar shared by every rule."""
+    codes = inst.index.codes
+    return {rule.id: _merge_ranges(inst.per_rule[rule.id], codes) for rule in grammar.rules}
 
 
 def rect_name(symbol: str, dims: Sequence[str], spans: Sequence[Sequence[str]]) -> str:
@@ -461,87 +496,122 @@ def emit_cfg(
     merged: Mapping[str, Sequence[RuleInstance]],
 ) -> ContextFreeGrammar:
     """Emit the context-free grammar over demanded rectangle nonterminals
-    from ``merged``, the merged instances of ``inst`` (see :func:`merge_all`)."""
-    index = inst.index
+    from ``merged``, the merged instances of ``inst`` (see :func:`merge_all`).
 
-    # Per-position projections of the supported vectors, in domain order;
-    # an unrestricted position of a rectangle spans its projection.
-    projections: dict[str, tuple[tuple[str, ...], ...]] = {}
+    A rectangle is a bit mask per naming position, over the codes of
+    ``inst``'s grammar, and each instance is read through its masks. Each
+    rectangle is decoded once, into its name (see :func:`rect_name`), when
+    it is first demanded.
+    """
+    index = inst.index
+    codes = index.codes
+
+    # Per symbol and naming position: the values the supported vectors take
+    # there, as a mask; an unrestricted position of a rectangle spans it.
+    projections: dict[str, tuple[int, ...]] = {}
     for symbol in index.symbols:
+        supported = inst.supported[symbol]
         spans = []
         for pos, feature in enumerate(index.naming_dims[symbol]):
-            values = {vec[pos] for vec in inst.supported[symbol]}
-            spans.append(tuple(v for v in index.domains[feature] if v in values))
+            spans.append(codes.mask(feature, {vec[pos] for vec in supported}))
         projections[symbol] = tuple(spans)
 
-    # Per rule: the mother naming positions linked to each dimension, and per
-    # daughter the positions a tuple fixes there and the dimensions fixing them.
-    plans: dict[str, tuple] = {}
-    for rule in grammar.rules:
+    def plan(rule: Rule) -> tuple:
+        """The mother naming positions linked to each dimension of ``rule``;
+        per daughter, its symbol, its projection, and the positions a tuple
+        fixes there with the dimension fixing each; and the masks of each
+        merged instance."""
         (mother_positions, mother_dims), *occurrences = index.slot_positions(
             rule, inst.per_rule[rule.id].dims
         )
         links: dict[int, list[int]] = {}
         for pos, d_idx in zip(mother_positions, mother_dims):
             links.setdefault(d_idx, []).append(pos)
-        daughters = [(cat.symbol, *occurrence) for cat, occurrence in zip(rule.daughters, occurrences)]
-        plans[rule.id] = (tuple(links.items()), daughters)
+        daughters = [
+            (cat.symbol, projections[cat.symbol], tuple(zip(positions, picks)))
+            for cat, (positions, picks) in zip(rule.daughters, occurrences)
+        ]
+        return tuple(links.items()), daughters, [instance.masks for instance in merged[rule.id]]
 
-    names: dict[tuple[str, tuple], str] = {}
-    queue: list[tuple[str, tuple[tuple[str, ...], ...]]] = []
+    plans = {symbol: [plan(rule) for rule in rules] for symbol, rules in index.rules_by_mother.items()}
 
-    def discover(symbol: str, spans: tuple[tuple[str, ...], ...]) -> str:
+    # Per lexical symbol: each entry's surface, its alternative, and the
+    # mask its constraint allows at each naming position it constrains.
+    lex_plans: dict[str, list[tuple[tuple[str, ...], Expr, list[tuple[int, int]]]]] = {}
+    for symbol, entries in index.lex_by_symbol.items():
+        positions = index.positions[symbol]
+        lex_plans[symbol] = [
+            (
+                entry.surface,
+                seq([Term(tok) for tok in entry.surface]),
+                [
+                    (positions[feature], codes.mask(feature, value.values))
+                    for feature, value in entry.category.constraints
+                    if feature in positions
+                ],
+            )
+            for entry in entries
+        ]
+
+    names: dict[tuple[str, tuple[int, ...]], str] = {}
+    refs: dict[str, Ref] = {}
+    queue: list[tuple[str, tuple[int, ...]]] = []
+
+    def discover(symbol: str, spans: tuple[int, ...]) -> str:
         key = (symbol, spans)
-        if key not in names:
-            names[key] = rect_name(symbol, index.naming_dims[symbol], spans)
+        name = names.get(key)
+        if name is None:
+            dims = index.naming_dims[symbol]
+            name = names[key] = rect_name(
+                symbol, dims, [codes.decode(feature, mask)[1] for feature, mask in zip(dims, spans)]
+            )
+            refs[name] = Ref(name)
             queue.append(key)
-        return names[key]
+        return name
 
-    def child_ref(restricted: Sequence[tuple[str, ...]], daughter: tuple) -> Ref:
+    def child_name(restricted: Sequence[int], daughter: tuple) -> str:
         """The daughter's rectangle under a restricted instance. Each of its
         tuples fired, so the daughter keys it fixes are all supported."""
-        symbol, positions, picks = daughter
-        spans = list(projections[symbol])
-        for pos, d_idx in zip(positions, picks):
+        symbol, projection, fixes = daughter
+        spans = list(projection)
+        for pos, d_idx in fixes:
             spans[pos] = restricted[d_idx]
-        return Ref(discover(symbol, tuple(spans)))
+        return discover(symbol, tuple(spans))
 
     discover(grammar.start, projections[grammar.start])
     productions: list[tuple[str, Expr]] = []
     cursor = 0
     while cursor < len(queue):
-        symbol, spans = queue[cursor]
+        symbol, rect = queue[cursor]
         cursor += 1
-        rect = [set(span) for span in spans]
-        alternatives: list[Expr] = []
-        for rule in index.rules_by_mother.get(symbol, ()):
-            links, daughters = plans[rule.id]
-            for instance in merged[rule.id]:
+        # Rule alternatives by their child names, then lexical ones by
+        # their surfaces; the two never coincide as expressions.
+        children: dict[tuple[str, ...], None] = {}
+        for links, daughters, instances in plans.get(symbol, ()):
+            for masks in instances:
                 # Restrict the mother-linked dimensions by the rectangle.
-                restricted = list(instance.values)
+                restricted = list(masks)
                 for d_idx, positions in links:
+                    mask = restricted[d_idx]
                     for pos in positions:
-                        restricted[d_idx] = tuple(filter(rect[pos].__contains__, restricted[d_idx]))
-                    if not restricted[d_idx]:
+                        mask &= rect[pos]
+                    if not mask:
                         break
+                    restricted[d_idx] = mask
                 else:
-                    alternatives.append(seq([child_ref(restricted, d) for d in daughters]))
-        positions = index.positions[symbol]
-        for entry in index.lex_by_symbol.get(symbol, ()):
-            for feature, value in entry.category.constraints:
-                pos = positions.get(feature)
-                if pos is not None and rect[pos].isdisjoint(value.values):
-                    break
-            else:
-                alternatives.append(seq([Term(tok) for tok in entry.surface]))
-        unique = list(dict.fromkeys(alternatives))
-        if not unique:
-            raise CompileError(
-                f"demanded nonterminal {names[(symbol, spans)]!r} has no alternatives"
-            )
-        productions.append((names[(symbol, spans)], alt(unique)))
+                    children[tuple([child_name(restricted, d) for d in daughters])] = None
+        surfaces: dict[tuple[str, ...], Expr] = {}
+        for surface, expr, allowed in lex_plans.get(symbol, ()):
+            if all(rect[pos] & mask for pos, mask in allowed):
+                surfaces.setdefault(surface, expr)
+        name = names[(symbol, rect)]
+        if not children and not surfaces:
+            raise CompileError(f"demanded nonterminal {name!r} has no alternatives")
+        alternatives = [seq([refs[child] for child in key]) for key in children]
+        alternatives += surfaces.values()
+        productions.append((name, alt(alternatives)))
 
-    if len(set(names.values())) != len(names):
+    if len(refs) != len(names):
         raise CompileError("rectangle naming collision")
     return ContextFreeGrammar(productions[0][0], tuple(productions))
 

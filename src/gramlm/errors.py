@@ -58,4 +58,5 @@ class ResourceCapError(GramlmError):
 
 
 class UndefinedPerplexityError(GramlmError):
-    """Every corpus sentence fell outside the model's language."""
+    """The corpus has no sentences, or every one fell outside the model's
+    language."""

@@ -30,7 +30,7 @@ daughter, so empty productions cannot be written at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .errors import DslSyntaxError, ValidationError
@@ -44,6 +44,7 @@ class FeatureDecl:
     name: str
     kind: str  # SYNTACTIC or SEMANTIC
     values: tuple[str, ...]  # ordered domain
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,7 @@ class Grammar:
     start: str
     rules: tuple[Rule, ...]
     lexicon: tuple[LexEntry, ...]
+    start_line: int = field(default=0, compare=False, repr=False)
 
     def feature(self, name: str) -> FeatureDecl:
         for decl in self.features:
@@ -249,6 +251,7 @@ def parse_grammar(text: str) -> Grammar:
     """Parse and validate grammar text; raise on any syntax or semantic error."""
     features: list[FeatureDecl] = []
     start: Optional[str] = None
+    start_line = 0
     rules: list[Rule] = []
     lexicon: list[LexEntry] = []
     diagnostics: list[Diagnostic] = []
@@ -272,7 +275,7 @@ def parse_grammar(text: str) -> Grammar:
                 parser.take("punct", ",")
                 values.append(parser.word("a domain value", _LOWER_RE))
             parser.take("punct", "}")
-            features.append(FeatureDecl(name, kind, tuple(values)))
+            features.append(FeatureDecl(name, kind, tuple(values), line=line_no))
             if len(set(values)) != len(values):
                 diagnostics.append(
                     Diagnostic(line_no, "dup-value", f"feature {name!r} repeats a domain value")
@@ -285,6 +288,7 @@ def parse_grammar(text: str) -> Grammar:
                 )
             else:
                 start = symbol
+                start_line = line_no
         elif head == "rule":
             rule_id = parser.word("a rule id (lowercase)", _LOWER_RE)
             parser.take("punct", ":")
@@ -324,7 +328,7 @@ def parse_grammar(text: str) -> Grammar:
         diagnostics.append(Diagnostic(0, "no-start", "no start symbol declared"))
         start = "?"
 
-    grammar = Grammar(tuple(features), start, tuple(rules), tuple(lexicon))
+    grammar = Grammar(tuple(features), start, tuple(rules), tuple(lexicon), start_line=start_line)
     grammar = _canonicalize(grammar, diagnostics)
     diagnostics.extend(validate(grammar))
     diagnostics = sorted(set(diagnostics))
@@ -378,7 +382,7 @@ def _canonicalize(grammar: Grammar, diagnostics: list[Diagnostic]) -> Grammar:
         LexEntry(e.surface, fix_category(e.category, e.line), line=e.line)
         for e in grammar.lexicon
     )
-    return Grammar(grammar.features, grammar.start, rules, lexicon)
+    return replace(grammar, rules=rules, lexicon=lexicon)
 
 
 def validate(grammar: Grammar) -> list[Diagnostic]:
@@ -387,7 +391,7 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
     domains: dict[str, tuple[str, ...]] = {}
     for decl in grammar.features:
         if decl.name in domains:
-            out.append(Diagnostic(0, "dup-feature", f"feature {decl.name!r} declared twice"))
+            out.append(Diagnostic(decl.line, "dup-feature", f"feature {decl.name!r} declared twice"))
         domains[decl.name] = decl.values
 
     def check_category(cat: Category, line: int, allow_vars: bool) -> None:
@@ -455,7 +459,7 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
 
     if grammar.start != "?" and grammar.start not in derivable:
         out.append(
-            Diagnostic(0, "bad-start", f"start symbol {grammar.start!r} is not derivable")
+            Diagnostic(grammar.start_line, "bad-start", f"start symbol {grammar.start!r} is not derivable")
         )
     return sorted(set(out))
 

@@ -963,10 +963,13 @@ class PerplexityReport:
 def perplexity(cfg: ContextFreeGrammar, corpus: Iterable[Sequence[str]]) -> PerplexityReport:
     """Per-word perplexity of the model over in-language corpus sentences.
 
-    Out-of-language sentences are reported and excluded; if every sentence
-    is excluded the perplexity is undefined and raises.
+    Out-of-language sentences are reported and excluded; if the corpus has
+    no sentences, or every sentence is excluded, the perplexity is undefined
+    and raises.
     """
     sentences = [tuple(s) for s in corpus]
+    if not sentences:
+        raise UndefinedPerplexityError("the corpus has no sentences")
     total_log2 = 0.0
     words = 0
     excluded: list[tuple[str, ...]] = []

@@ -6,9 +6,10 @@ fresh, uncached object (determinism checks) call the library directly.
 """
 
 import functools
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from gramlm import (
     build_pfsg,
@@ -19,7 +20,9 @@ from gramlm import (
     merge_all,
     parse_grammar_file,
 )
-from gramlm.errors import UnknownTokenError
+from gramlm.cfg import ContextFreeGrammar, Expr, Ref, Term, alt, seq
+from gramlm.compiler import DimSpec, InstantiationSet, Instantiations, rect_name
+from gramlm.errors import CompileError, UnknownTokenError
 from gramlm.grammar import Grammar, Rule
 from gramlm.oracle import ParseResult, _Item, _parse_analyzer
 
@@ -326,6 +329,165 @@ def reference_oracle_parse(
             break
 
     return ParseResult(total > 0, total, derivations)
+
+
+# ---------------------------------------------------------------------------
+# Reference merge and emission: ``merge_ranges`` and ``emit_cfg`` as they were
+# before emission worked on bit masks, kept unchanged (with the instance type
+# they built) so that the mask pipeline can be held to the same CFG text.
+# Here merging decodes its masks to value names, and emission filters and
+# compares those names as Python sets.
+
+
+@dataclass(frozen=True)
+class RuleInstance:
+    """A merged instance: a value set per dimension (a rectangle of tuples)."""
+
+    rule_id: str
+    dims: tuple[DimSpec, ...]
+    values: tuple[tuple[str, ...], ...]
+
+
+def reference_merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance, ...]:
+    """Greedily merge atomic tuples into disjoint rectangles of value sets.
+
+    Instances agreeing everywhere except one mergeable dimension merge by
+    unioning that dimension's sets; the dimensions are taken in turn until
+    a round over them merges nothing. The result partitions the input
+    tuple set exactly: merging never invents a tuple (instances in a merge
+    bucket are identical off-dimension) and never drops one (every tuple
+    starts as a singleton instance). The merged set does not depend on the
+    order instances are visited in, and the result is sorted in the
+    (feature declaration, domain) order of its value sets.
+
+    Values are coded once as domain indices, each set as a bit mask, and
+    decoded at the end.
+    """
+    decls = {d.name: d.values for d in grammar.features}
+    domains = [decls[dim.slots[0].feature] for dim in inst.dims]
+    codes = [{v: 1 << i for i, v in enumerate(domain)} for domain in domains]
+    mergeable = [d_idx for d_idx, dim in enumerate(inst.dims) if dim.mergeable]
+    instances = [tuple(code[v] for code, v in zip(codes, values)) for values in inst.tuples]
+    while True:
+        before = len(instances)
+        for d_idx in mergeable:
+            buckets: dict[tuple[int, ...], int] = {}
+            for masks in instances:
+                key = masks[:d_idx] + masks[d_idx + 1 :]
+                buckets[key] = buckets.get(key, 0) | masks[d_idx]
+            instances = [key[:d_idx] + (mask,) + key[d_idx:] for key, mask in buckets.items()]
+        if len(instances) == before:
+            break
+    indexed = sorted(
+        tuple(tuple(i for i in range(len(domain)) if mask >> i & 1) for domain, mask in zip(domains, masks))
+        for masks in instances
+    )
+    return tuple(
+        RuleInstance(
+            inst.rule_id,
+            inst.dims,
+            tuple(tuple(domain[i] for i in span) for domain, span in zip(domains, spans)),
+        )
+        for spans in indexed
+    )
+
+
+def reference_emit_cfg(
+    grammar: Grammar,
+    inst: Instantiations,
+    merged: Mapping[str, Sequence[RuleInstance]],
+) -> ContextFreeGrammar:
+    """Emit the context-free grammar over demanded rectangle nonterminals
+    from ``merged``, the merged instances of ``inst`` (see :func:`merge_all`)."""
+    index = inst.index
+
+    # Per-position projections of the supported vectors, in domain order;
+    # an unrestricted position of a rectangle spans its projection.
+    projections: dict[str, tuple[tuple[str, ...], ...]] = {}
+    for symbol in index.symbols:
+        spans = []
+        for pos, feature in enumerate(index.naming_dims[symbol]):
+            values = {vec[pos] for vec in inst.supported[symbol]}
+            spans.append(tuple(v for v in index.domains[feature] if v in values))
+        projections[symbol] = tuple(spans)
+
+    # Per rule: the mother naming positions linked to each dimension, and per
+    # daughter the positions a tuple fixes there and the dimensions fixing them.
+    plans: dict[str, tuple] = {}
+    for rule in grammar.rules:
+        (mother_positions, mother_dims), *occurrences = index.slot_positions(
+            rule, inst.per_rule[rule.id].dims
+        )
+        links: dict[int, list[int]] = {}
+        for pos, d_idx in zip(mother_positions, mother_dims):
+            links.setdefault(d_idx, []).append(pos)
+        daughters = [(cat.symbol, *occurrence) for cat, occurrence in zip(rule.daughters, occurrences)]
+        plans[rule.id] = (tuple(links.items()), daughters)
+
+    names: dict[tuple[str, tuple], str] = {}
+    queue: list[tuple[str, tuple[tuple[str, ...], ...]]] = []
+
+    def discover(symbol: str, spans: tuple[tuple[str, ...], ...]) -> str:
+        key = (symbol, spans)
+        if key not in names:
+            names[key] = rect_name(symbol, index.naming_dims[symbol], spans)
+            queue.append(key)
+        return names[key]
+
+    def child_ref(restricted: Sequence[tuple[str, ...]], daughter: tuple) -> Ref:
+        """The daughter's rectangle under a restricted instance. Each of its
+        tuples fired, so the daughter keys it fixes are all supported."""
+        symbol, positions, picks = daughter
+        spans = list(projections[symbol])
+        for pos, d_idx in zip(positions, picks):
+            spans[pos] = restricted[d_idx]
+        return Ref(discover(symbol, tuple(spans)))
+
+    discover(grammar.start, projections[grammar.start])
+    productions: list[tuple[str, Expr]] = []
+    cursor = 0
+    while cursor < len(queue):
+        symbol, spans = queue[cursor]
+        cursor += 1
+        rect = [set(span) for span in spans]
+        alternatives: list[Expr] = []
+        for rule in index.rules_by_mother.get(symbol, ()):
+            links, daughters = plans[rule.id]
+            for instance in merged[rule.id]:
+                # Restrict the mother-linked dimensions by the rectangle.
+                restricted = list(instance.values)
+                for d_idx, positions in links:
+                    for pos in positions:
+                        restricted[d_idx] = tuple(filter(rect[pos].__contains__, restricted[d_idx]))
+                    if not restricted[d_idx]:
+                        break
+                else:
+                    alternatives.append(seq([child_ref(restricted, d) for d in daughters]))
+        positions = index.positions[symbol]
+        for entry in index.lex_by_symbol.get(symbol, ()):
+            for feature, value in entry.category.constraints:
+                pos = positions.get(feature)
+                if pos is not None and rect[pos].isdisjoint(value.values):
+                    break
+            else:
+                alternatives.append(seq([Term(tok) for tok in entry.surface]))
+        unique = list(dict.fromkeys(alternatives))
+        if not unique:
+            raise CompileError(
+                f"demanded nonterminal {names[(symbol, spans)]!r} has no alternatives"
+            )
+        productions.append((names[(symbol, spans)], alt(unique)))
+
+    if len(set(names.values())) != len(names):
+        raise CompileError("rectangle naming collision")
+    return ContextFreeGrammar(productions[0][0], tuple(productions))
+
+
+def reference_emit(grammar: Grammar, inst: Instantiations) -> tuple[dict, ContextFreeGrammar]:
+    """The reference merge of every rule, in rule order, and the reference
+    emission from it."""
+    merged = {rule.id: reference_merge_ranges(inst.per_rule[rule.id], grammar) for rule in grammar.rules}
+    return merged, reference_emit_cfg(grammar, inst, merged)
 
 
 # ---------------------------------------------------------------------------

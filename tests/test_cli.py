@@ -4,9 +4,9 @@ import subprocess
 import sys
 
 import pytest
-from conftest import asset, grammar
+from conftest import asset, compiled, grammar
 
-from gramlm import parse_grammar, print_grammar, unlink_features
+from gramlm import UndefinedPerplexityError, parse_grammar, perplexity, print_grammar, unlink_features
 
 ARTIFACTS = ["grammar.cfg", "grammar.pfsg", "metrics.txt", "metrics.kv"]
 
@@ -143,6 +143,26 @@ def test_perplexity_of_uniform_interjections(tmp_path):
     assert r.returncode == 0
     assert "sentences=2 included=2 words=2" in r.stdout
     assert "perplexity=2.000000" in r.stdout
+
+
+def test_perplexity_of_an_empty_corpus_is_an_input_error(tmp_path):
+    """The library says the corpus has no sentences; the command exits 1
+    and names the file."""
+    with pytest.raises(UndefinedPerplexityError, match="the corpus has no sentences"):
+        perplexity(compiled("intj").cfg, [])
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# only a comment\n\n", encoding="utf-8")
+    r = run("perplexity", asset("intj.gram"), corpus)
+    assert r.returncode == 1
+    assert f"error: {corpus}: the corpus has no sentences" in r.stderr
+
+
+def test_perplexity_with_no_sentence_in_the_language_is_a_mismatch(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("yes yes\n", encoding="utf-8")
+    r = run("perplexity", asset("intj.gram"), corpus)
+    assert r.returncode == 2
+    assert "all 1 sentence(s) fell outside the language" in r.stderr
 
 
 # ---- variant ----

@@ -6,13 +6,14 @@ import re
 import time
 
 import pytest
-from conftest import SHUTTLES, TOYS, compiled, compiled_stages, grammar, leftmost_cycle_free
+from conftest import SHUTTLES, TOYS, compiled, compiled_stages, grammar, leftmost_cycle_free, reference_emit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pfsg import _cfgs
 
 from gramlm import (
     CompileError,
+    analysis,
     ResourceCapError,
     build_pfsg,
     cfg_enumerate,
@@ -21,6 +22,8 @@ from gramlm import (
     compile_grammar,
     compute_instantiations,
     eliminate_left_recursion,
+    emit_cfg,
+    merge_all,
     oracle_enumerate,
     oracle_parse,
     parse_grammar,
@@ -42,6 +45,7 @@ from gramlm.grammar import (
     Rule,
     Var,
     constrained_features,
+    surface_tokens,
 )
 
 ALL_ASSETS = TOYS + SHUTTLES
@@ -652,6 +656,51 @@ def test_random_feature_grammars_compile_to_the_oracle_language(text):
         assert "repetition" in str(err)
         return
     assert pfsg_enumerate(graphs, 4) == language
+
+
+# ---- mask emission against the reference ----
+
+
+def assert_emit_matches_the_reference(stripped, inst):
+    """The merged values and the emitted CFG text equal what the reference
+    merge and emission (tests/conftest.py) make from the same tuples."""
+    merged = merge_all(stripped, inst)
+    want_merged, want_cfg = reference_emit(stripped, inst)
+    assert {rule_id: [i.values for i in instances] for rule_id, instances in merged.items()} == {
+        rule_id: [i.values for i in instances] for rule_id, instances in want_merged.items()
+    }
+    assert cfg_to_text(emit_cfg(stripped, inst, merged)) == cfg_to_text(want_cfg)
+
+
+# The compile workload's variants of the shuttle grammars, as the analysis
+# module builds them.
+VARIANTS = {
+    **{
+        f"{name}.k{k}": (lambda name=name, k=k: analysis.k_words_per_category(grammar(name), k))
+        for name in SHUTTLES
+        for k in (1, 2)
+    },
+    "shuttle_rels.unlink": lambda: analysis.unlink_features(grammar("shuttle_rels"), "rel_mod", ["agr", "sort"]),
+    "shuttle_rels.wordplus": lambda: analysis.wordplus_grammar(sorted(surface_tokens(grammar("shuttle_rels")))),
+}
+
+
+@pytest.mark.parametrize("name", ALL_ASSETS + sorted(VARIANTS))
+def test_mask_emit_matches_the_reference(name):
+    g = VARIANTS[name]() if name in VARIANTS else grammar(name)
+    stripped = strip_features(g)
+    assert_emit_matches_the_reference(stripped, compute_instantiations(stripped))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_feature_grammars())
+def test_mask_emit_matches_the_reference_on_random_grammars(text):
+    stripped = strip_features(parse_grammar(text))
+    try:
+        inst = compute_instantiations(stripped, cap_tuples=10**4)
+    except (CompileError, ResourceCapError):
+        return
+    assert_emit_matches_the_reference(stripped, inst)
 
 
 # ---- determinism ----

@@ -126,32 +126,36 @@ def test_comments_and_blank_lines_ignored():
 
 
 @pytest.mark.parametrize(
-    "text, code",
+    "text, code, line",
     [
-        ("feature f syn {a}\nfeature f syn {b}\nstart X\nlex \"x\": X\n", "dup-feature"),
-        ("start X\nrule r: X -> Y:[f=a]\nlex \"y\": Y\n", "unknown-feature"),
-        ("feature f syn {a}\nstart X\nrule r: X -> Y:[f=b]\nlex \"y\": Y\n", "unknown-value"),
-        ("feature f syn {a}\nstart X\nlex \"x\": X:[f=V]\n", "lexical-var"),
+        ("feature f syn {a}\nfeature f syn {b}\nstart X\nlex \"x\": X\n", "dup-feature", 2),
+        ("start X\nrule r: X -> Y:[f=a]\nlex \"y\": Y\n", "unknown-feature", 2),
+        ("feature f syn {a}\nstart X\nrule r: X -> Y:[f=b]\nlex \"y\": Y\n", "unknown-value", 3),
+        ("feature f syn {a}\nstart X\nlex \"x\": X:[f=V]\n", "lexical-var", 3),
         (
             "start X\nrule r: X -> Y\nrule r: X -> Y\nlex \"y\": Y\n",
             "dup-rule",
+            3,
         ),
         (
             "feature f syn {a, b}\nfeature g syn {c}\nstart X\n"
             "rule r: X:[f=V] -> Y:[g=V]\nlex \"y\": Y:[g=c]\n",
             "var-domain",
+            4,
         ),
-        ("start X\nrule r: X -> Y\n", "undefined-symbol"),
-        ("start Z\nlex \"x\": X\n", "bad-start"),
-        ("start X\nstart Y\nlex \"x\": X\n", "dup-start"),
-        ("lex \"x\": X\n", "no-start"),
-        ("feature f syn {a, a}\nstart X\nlex \"x\": X:[f=a]\n", "dup-value"),
+        ("start X\nrule r: X -> Y\n", "undefined-symbol", 2),
+        ("start Z\nlex \"x\": X\n", "bad-start", 1),
+        ("start X\nstart Y\nlex \"x\": X\n", "dup-start", 2),
+        ("lex \"x\": X\n", "no-start", 0),
+        ("feature f syn {a, a}\nstart X\nlex \"x\": X:[f=a]\n", "dup-value", 1),
     ],
 )
-def test_validation_codes(text, code):
+def test_validation_codes(text, code, line):
+    """Each code is reported, at the line that caused it; a missing start
+    symbol has no line."""
     with pytest.raises(ValidationError) as err:
         parse_grammar(text)
-    assert code in {d.code for d in err.value.diagnostics}
+    assert (line, code) in {(d.line, d.code) for d in err.value.diagnostics}
 
 
 @pytest.mark.parametrize(
