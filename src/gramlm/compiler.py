@@ -389,8 +389,15 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
             support(mother, vec)
 
     if not supported.get(grammar.start):
+        where = f"line {grammar.start_line}: " if grammar.start_line else ""
+        rules = ", ".join(
+            f"{rule.id} on line {rule.line}" if rule.line else rule.id
+            for rule in grammar.rules
+            if rule.mother.symbol == grammar.start
+        )
         raise CompileError(
-            f"start symbol {grammar.start!r} has no supported instantiations"
+            f"{where}start symbol {grammar.start!r} has no supported instantiations"
+            + (f": none of its rules ({rules}) derives a string" if rules else "")
         )
 
     # Demand pass: walk supported vectors top-down from the start symbol.

@@ -1,6 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types, resource caps and the collector guard shared across the
+package.
+
+Besides the exceptions, this module holds the default caps on the strings
+an enumeration stores and on the tuples instantiation enumerates, and
+:func:`collector_paused`, which runs the two string-set enumerators with
+the cyclic garbage collector paused. It is the only module the oracle
+shares with the pipeline, so both enumerators can import from it.
+"""
 
 from __future__ import annotations
+
+import functools
+import gc
 
 
 class GramlmError(Exception):
@@ -46,6 +57,29 @@ class UnknownTokenError(GramlmError):
 # the alternatives left-recursion elimination substitutes).
 CAP_STRINGS = 8 * 10**6
 CAP_TUPLES = 10**7
+
+
+def collector_paused(function):
+    """Run ``function`` with the cyclic garbage collector paused.
+
+    The string-set enumerators allocate hundreds of thousands of string
+    tuples and file them in a few large sets that hold no reference
+    cycles; every young collection would re-scan those sets and free
+    nothing. The collector is re-enabled on return, or when an exception
+    propagates, only if it was enabled on entry; no collection is forced.
+    """
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class ResourceCapError(GramlmError):

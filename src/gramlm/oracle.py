@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import CAP_STRINGS, ResourceCapError, UnknownTokenError
+from .errors import CAP_STRINGS, ResourceCapError, UnknownTokenError, collector_paused
 from .grammar import Category, Grammar, LexEntry, Rule, Var, constrained_features, surface_tokens
 
 FREE = None
@@ -339,6 +339,7 @@ def oracle_parse(
     return ParseResult(total > 0, total, derivations)
 
 
+@collector_paused
 def oracle_enumerate(
     grammar: Grammar,
     max_len: int,
@@ -449,22 +450,31 @@ def oracle_enumerate(
     # Strings gained at the current length by items with unit rules.
     pending: dict[_Item, set[tuple[str, ...]]] = {}
 
-    def keep(item: _Item, n: int, got: set[tuple[str, ...]]) -> None:
+    def keep(item: _Item, n: int, got: set[tuple[str, ...]], owned: bool = False) -> None:
+        """File ``got`` as strings of length n of ``item``. An ``owned`` set
+        is held by nothing else, so it may become the item's bucket."""
         nonlocal stored
         buckets = strings.setdefault(item, {})
         bucket = buckets.get(n)
+        queue = item.symbol in units
         if bucket is None:
-            new = bucket = buckets[n] = set(got)  # ``got`` may be held elsewhere
+            new = bucket = buckets[n] = got if owned else set(got)
             held.setdefault(item.symbol, {}).setdefault(n, []).append(item)
             longest[item.symbol] = n
-        else:
+            gained = len(new)
+        elif queue:
             new = got - bucket
             bucket |= new
-        if new:
-            stored += len(new)
+            gained = len(new)
+        else:
+            size = len(bucket)
+            bucket |= got
+            gained = len(bucket) - size
+        if gained:
+            stored += gained
             if stored > cap:
                 raise ResourceCapError("enumerated strings", cap)
-            if item.symbol in units:
+            if queue:
                 queued = pending.get(item)
                 if queued is None:
                     pending[item] = new
@@ -473,7 +483,7 @@ def oracle_enumerate(
 
     for n in range(1, max_len + 1):
         for item, surface in lexemes.get(n, ()):
-            keep(item, n, {surface})
+            keep(item, n, {surface}, True)
         for rule, patterns, suffix_min, limit in rules:
             if not suffix_min[0] <= n <= limit:
                 continue
@@ -515,8 +525,10 @@ def oracle_enumerate(
                 if not states:
                     break
             for bindings, built in states:
-                for fmap in analyzer.mother_items(rule, bindings):
-                    keep(_Item(rule.mother.symbol, fmap), n, built[n])
+                fmaps = analyzer.mother_items(rule, bindings)
+                for idx, fmap in enumerate(fmaps):
+                    # Only the last mother item may take the set itself.
+                    keep(_Item(rule.mother.symbol, fmap), n, built[n], idx == len(fmaps) - 1)
         while pending:
             item, got = pending.popitem()
             for rule, pattern, limit in units[item.symbol]:
@@ -527,7 +539,13 @@ def oracle_enumerate(
                     for fmap in analyzer.mother_items(rule, bindings):
                         keep(_Item(rule.mother.symbol, fmap), n, got)
 
-    # Free the other items' strings before the result is built.
-    found = [bucket for item, buckets in strings.items() if item.symbol == grammar.start for bucket in buckets.values()]
+    # Free the other items' strings, then merge into the largest bucket.
+    found = sorted(
+        (bucket for item, buckets in strings.items() if item.symbol == grammar.start for bucket in buckets.values()),
+        key=len,
+    )
     strings.clear()
-    return set().union(*found)
+    result = found.pop() if found else set()
+    for bucket in found:
+        result |= bucket
+    return result

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, components
-from .errors import CAP_STRINGS, CompileError, ResourceCapError, UndefinedPerplexityError
+from .errors import CAP_STRINGS, CompileError, ResourceCapError, UndefinedPerplexityError, collector_paused
 
 LOOP_MASS = 0.5
 
@@ -738,6 +738,7 @@ def cfg_parse(
     return _Earley(cfg).parse(tokens, count_cap)
 
 
+@collector_paused
 def cfg_enumerate(
     cfg: ContextFreeGrammar, max_len: int, cap: int = CAP_STRINGS
 ) -> set[tuple[str, ...]]:
@@ -784,9 +785,10 @@ def cfg_enumerate(
     lang: dict[Symbol, dict[int, set[tuple[str, ...]]]] = {}
     longest: dict[Symbol, int] = {}
     # The alternatives that fit their mother's budget. words[n][mother]
-    # holds the strings of those of n terminals. Those with references are
-    # listed as (mother, symbols, least yield of each suffix, budget), less
-    # the single references, which never concatenate shorter strings.
+    # holds the strings of those of n terminals, until length n takes the
+    # sets over. Those with references are listed as (mother, symbols,
+    # least yield of each suffix, budget), less the single references,
+    # which never concatenate shorter strings.
     # units[ref] lists the alternatives in which ``ref`` may yield all n, as
     # (mother, budget, siblings).
     words: dict[int, dict[Symbol, set[tuple[str, ...]]]] = {}
@@ -814,21 +816,30 @@ def cfg_enumerate(
     # Strings gained at the current length by symbols with unit alternatives.
     pending: dict[Symbol, set[tuple[str, ...]]] = {}
 
-    def keep(symbol: Symbol, n: int, got: set[tuple[str, ...]]) -> None:
+    def keep(symbol: Symbol, n: int, got: set[tuple[str, ...]], owned: bool = False) -> None:
+        """File ``got`` as strings of length n of ``symbol``. An ``owned``
+        set is held by nothing else, so it may become the symbol's bucket."""
         nonlocal stored
         buckets = lang.setdefault(symbol, {})
         bucket = buckets.get(n)
+        queue = symbol in units
         if bucket is None:
-            new = bucket = buckets[n] = set(got)  # ``got`` may be held elsewhere
+            new = bucket = buckets[n] = got if owned else set(got)
             longest[symbol] = n
-        else:
+            gained = len(new)
+        elif queue:
             new = got - bucket
             bucket |= new
-        if new:
-            stored += len(new)
+            gained = len(new)
+        else:
+            size = len(bucket)
+            bucket |= got
+            gained = len(bucket) - size
+        if gained:
+            stored += gained
             if stored > cap:
                 raise ResourceCapError("enumerated strings", cap)
-            if symbol in units:
+            if queue:
                 queued = pending.get(symbol)
                 if queued is None:
                     pending[symbol] = new
@@ -836,8 +847,8 @@ def cfg_enumerate(
                     queued |= new
 
     for n in range(max_len + 1):
-        for mother, strings in words.get(n, {}).items():
-            keep(mother, n, strings)
+        for mother, strings in words.pop(n, {}).items():
+            keep(mother, n, strings, True)
         for mother, symbols, tail_min, limit in alternatives:
             if not tail_min[0] <= n <= limit or sum(longest.get(symbol, 0) for symbol in symbols) < n:
                 continue
@@ -867,17 +878,20 @@ def cfg_enumerate(
                 if got and (length or last[0] == _TERM):
                     strings.update(p + s for p in prefixes for s in got)
             if strings:
-                keep(mother, n, strings)
+                keep(mother, n, strings, True)
         while pending:
             symbol, got = pending.popitem()
             for mother, limit, siblings in units[symbol]:
                 if n <= limit and all(0 in lang.get(sibling, ()) for sibling in siblings):
                     keep(mother, n, got)
 
-    # Free the other symbols' strings before the result is built.
-    buckets = lang.get((_REF, grammar.start), {})
+    # Free the other symbols' strings, then merge into the largest bucket.
+    found = sorted(lang.get((_REF, grammar.start), {}).values(), key=len)
     lang.clear()
-    return set().union(*buckets.values())
+    result = found.pop() if found else set()
+    for bucket in found:
+        result |= bucket
+    return result
 
 
 def pfsg_enumerate(

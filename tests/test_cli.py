@@ -247,7 +247,10 @@ def test_unsupported_start_symbol_is_a_usage_error(tmp_path):
     )
     r = run("compile", bad, "--out", tmp_path / "out")
     assert r.returncode == 1
-    assert "start symbol 'S' has no supported instantiations" in r.stderr
+    assert (
+        "line 2: start symbol 'S' has no supported instantiations:"
+        " none of its rules (s on line 3) derives a string"
+    ) in r.stderr
 
 
 @pytest.mark.parametrize(

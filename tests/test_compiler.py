@@ -330,8 +330,9 @@ def test_unsupported_start_symbol_is_a_compile_error():
         lex "x": A:[f=b]
         """
     )
-    with pytest.raises(CompileError, match="start symbol 'S' has no supported instantiations"):
+    with pytest.raises(CompileError, match="^line 3: start symbol 'S' has no supported instantiations") as err:
         compile_grammar(g)
+    assert str(err.value).endswith(": none of its rules (s on line 4) derives a string")
 
 
 def test_start_symbol_survives_compilation():

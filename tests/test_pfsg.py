@@ -1,5 +1,6 @@
 """Graph models: construction, normalization, metrics, parsing, perplexity."""
 
+import gc
 import graphlib
 import inspect
 import itertools
@@ -684,6 +685,79 @@ def test_library_string_caps_match_the_command_line():
     for enumerate_strings in (cfg_enumerate, pfsg_enumerate, oracle_enumerate):
         assert inspect.signature(enumerate_strings).parameters["cap"].default == CAP_STRINGS
     assert check.cap_strings == CAP_STRINGS
+
+
+# ---- enumeration and the cyclic collector ----
+
+# Each enumerator with its input, taken from a compiled asset: the model's
+# CFG, or the stripped grammar the oracle reads.
+ENUMERATORS = [
+    pytest.param(cfg_enumerate, lambda name: compiled(name).cfg, id="cfg_enumerate"),
+    pytest.param(oracle_enumerate, lambda name: compiled(name).grammar, id="oracle_enumerate"),
+]
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector back as it was, whatever the test left."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enumerate_strings,source", ENUMERATORS)
+def test_enumeration_restores_an_enabled_collector(enumerate_strings, source, collector):
+    gc.enable()
+    assert len(enumerate_strings(source("wordplus3"), 2)) == 12
+    assert gc.isenabled()
+    with pytest.raises(ResourceCapError):
+        enumerate_strings(source("wordplus3"), 8, cap=100)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enumerate_strings,source", ENUMERATORS)
+def test_enumeration_leaves_a_disabled_collector_off(enumerate_strings, source, collector):
+    gc.disable()
+    assert len(enumerate_strings(source("wordplus3"), 2)) == 12
+    assert not gc.isenabled()
+    with pytest.raises(ResourceCapError):
+        enumerate_strings(source("wordplus3"), 8, cap=100)
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("enumerate_strings,source", ENUMERATORS)
+def test_enumeration_starts_no_collection(enumerate_strings, source, collector):
+    """At L=5 the shuttle model allocates enough tuples to start several
+    young collections if the collector ran."""
+    gc.enable()
+    arg = source("shuttle_rels")
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        enumerate_strings(arg, 5)
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
+
+
+@pytest.mark.parametrize("name", SHUTTLES)
+@pytest.mark.parametrize("enumerate_strings,source", ENUMERATORS)
+def test_enumeration_defers_no_cyclic_garbage(enumerate_strings, source, name, collector):
+    """Collecting right after an enumeration finds nothing: pausing the
+    collector left no reference cycles for it to free later."""
+    arg = source(name)
+    gc.collect()
+    strings = enumerate_strings(arg, 4)
+    assert gc.collect() == 0
+    assert len(strings) == 872
 
 
 # ---- model-side differential: cfg_enumerate against the naive graph walk ----
