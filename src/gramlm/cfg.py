@@ -9,7 +9,10 @@ Text format, one production per line::
 
     s -> np vp | ( "hello" )* "world" ;
 
-The first production is the start symbol.
+The first production is the start symbol. :func:`cfg_from_text` reads it
+back with one ``findall`` and one loop, and interns its leaves: a read
+holds one :class:`Ref` per distinct name and one :class:`Term` per distinct
+quoted token. It finds the line of an error only when raising one.
 
 :func:`components` is the one strongly connected component search over
 production names, for left-recursion elimination and the parser's unit ranks.
@@ -177,133 +180,128 @@ def cfg_to_text(cfg: ContextFreeGrammar) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The characters str.splitlines breaks lines at; no token or comment spans one.
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_NAME = r"[a-z0-9_+]+(?:-[a-z0-9_+]+)*"
+
+# One match per token: the blanks and comments before it, then the token. A
+# character that starts no token is a token of its own, so none is skipped.
+# The last one or two matches hold no token.
 _CFG_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<arrow>->)
-  | (?P<punct>[()|;*])
-  | (?P<string>"[^"]*")
-  | (?P<name>[a-z0-9_+]+(?:-[a-z0-9_+]+)*)
-    """,
+    rf"""(?: \s+ | \#[^{_BREAKS}]* )*
+    ( -> | [()|;*] | "[^"{_BREAKS}]*" | {_NAME} | . )?""",
     re.VERBOSE,
 )
+_NAME_RE = re.compile(_NAME)
 
 
-# Deepest nesting of groups and repetitions cfg_from_text accepts. The
-# parser and every walk over an expression recurse once per level, so this
-# keeps them far inside Python's recursion limit.
+# Deepest nesting of groups and repetitions cfg_from_text accepts. Every
+# walk over an expression recurses once per level, so this keeps them far
+# inside Python's recursion limit.
 _MAX_NESTING = 100
+_TOO_DEEP = f"groups and repetitions nested deeper than {_MAX_NESTING}"
 
 
 def cfg_from_text(text: str) -> ContextFreeGrammar:
-    """Parse the text format; every syntax error names its line."""
-    tokens: list[tuple[str, str]] = []
-    lines: list[int] = []
-    line_no = 1
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        while pos < len(line):
-            match = _CFG_TOKEN_RE.match(line, pos)
-            if match is None:
-                raise GramlmError(f"line {line_no}: unexpected character {line[pos]!r}")
-            kind = match.lastgroup or ""
-            if kind == "comment":
-                break
-            if kind != "ws":
-                tokens.append((kind, match.group()))
-                lines.append(line_no)
-            pos = match.end()
-    tokens.append(("end", "end of input"))
-    lines.append(line_no)
+    """Parse the text format; every syntax error names its line.
 
-    index = 0
-
-    def error(message: str) -> GramlmError:
-        return GramlmError(f"line {lines[index]}: {message}")
-
-    def peek() -> tuple[str, str]:
-        return tokens[index]
-
-    def take(kind: str, value=None) -> str:
-        nonlocal index
-        got_kind, got = peek()
-        if got_kind != kind or (value is not None and got != value):
-            raise error(f"expected {value or kind!r}, got {got!r}")
-        index += 1
-        return got
-
-    # Each parse_* takes the number of enclosing groups and returns the node
-    # with its nesting: the groups and repetitions on its deepest path.
-    def parse_alt(depth: int) -> tuple[Expr, int]:
-        option, nesting = parse_seq(depth)
-        options = [option]
-        while peek() == ("punct", "|"):
-            take("punct", "|")
-            option, inner = parse_seq(depth)
-            options.append(option)
-            nesting = max(nesting, inner)
-        return alt(options), nesting
-
-    def parse_seq(depth: int) -> tuple[Expr, int]:
-        item, nesting = parse_postfix(depth)
-        items = [item]
-        while peek()[0] in ("name", "string") or peek() == ("punct", "("):
-            item, inner = parse_postfix(depth)
-            items.append(item)
-            nesting = max(nesting, inner)
-        return seq(items), nesting
-
-    def parse_postfix(depth: int) -> tuple[Expr, int]:
-        node, nesting = parse_primary(depth)
-        while peek() == ("punct", "*"):
-            take("punct", "*")
-            node, nesting = Star(node), nesting + 1
-            if depth + nesting > _MAX_NESTING:
-                raise error(f"groups and repetitions nested deeper than {_MAX_NESTING}")
-        return node, nesting
-
-    def parse_primary(depth: int) -> tuple[Expr, int]:
-        kind, value = peek()
-        if kind == "string":
-            take("string")
-            return Term(value[1:-1]), 0
-        if kind == "name":
-            refs.append(index)
-            take("name")
-            return Ref(value), 0
-        if (kind, value) == ("punct", "("):
-            if depth == _MAX_NESTING:
-                raise error(f"groups and repetitions nested deeper than {_MAX_NESTING}")
-            take("punct", "(")
-            node, nesting = parse_alt(depth + 1)
-            take("punct", ")")
-            return node, nesting + 1
-        raise error(f"expected a terminal, name, or group, got {value!r}")
-
+    The tokens are the strings of one ``findall``, read by one loop with a
+    stack of open groups. A read makes one :class:`Ref` per distinct name
+    and one :class:`Term` per distinct quoted token. A line is found only
+    when raising, by scanning the text again.
+    """
+    tokens = _CFG_TOKEN_RE.findall(text)
+    nodes: dict[str, Expr] = {}  # each name and quoted token (quotes kept) read so far
     productions: list[tuple[str, Expr]] = []
-    # The token index of each production's name and of each reference.
-    heads: list[int] = []
-    refs: list[int] = []
-    while peek()[0] != "end":
-        heads.append(index)
-        name = take("name")
-        take("arrow")
-        expr, _ = parse_alt(0)
-        take("punct", ";")
-        productions.append((name, expr))
+    heads: list[int] = []  # the token index of each production's name
+    at = 0
+    while tokens[at]:
+        name = tokens[at]
+        if not _NAME_RE.fullmatch(name):
+            raise _error(text, tokens, at, "expected 'name', got {got}")
+        if tokens[at + 1] != "->":
+            raise _error(text, tokens, at + 1, "expected 'arrow', got {got}")
+        heads.append(at)
+        at += 2
+        # Each open group keeps the options, items and nesting of the group
+        # it is in. A node's nesting counts the groups and repetitions on its
+        # deepest path; `last` is the last item's.
+        stack: list[tuple[list[Expr], list[Expr], int]] = []
+        options: list[Expr] = []
+        items: list[Expr] = []  # empty where a sequence must start
+        deep = last = 0
+        while True:
+            token = tokens[at]
+            at += 1
+            node = nodes.get(token)
+            if node is None:
+                if token == "(":
+                    if len(stack) == _MAX_NESTING:
+                        raise _error(text, tokens, at - 1, _TOO_DEEP)
+                    stack.append((options, items, deep))
+                    options, items, deep = [], [], 0
+                    continue
+                if items:
+                    if token == "|":
+                        options.append(seq(items))
+                        items = []
+                        continue
+                    if token == "*":  # a name or a quoted token has no nesting
+                        last = last + 1 if tokens[at - 2] in (")", "*") else 1
+                        if len(stack) + last > _MAX_NESTING:
+                            raise _error(text, tokens, at, _TOO_DEEP)
+                        items[-1] = Star(items[-1])
+                        deep = max(deep, last)
+                        continue
+                    if token == (")" if stack else ";"):
+                        options.append(seq(items))
+                        node = alt(options)
+                        if not stack:
+                            productions.append((name, node))
+                            break
+                        last = deep + 1
+                        options, items, deep = stack.pop()
+                        deep = max(deep, last)
+                        items.append(node)
+                        continue
+                if token[:1] == '"' and len(token) > 1:
+                    node = nodes[token] = Term(token[1:-1])
+                elif _NAME_RE.fullmatch(token):
+                    node = nodes[token] = Ref(token)
+                else:
+                    expected = "a terminal, name, or group" if not items else "')'" if stack else "';'"
+                    raise _error(text, tokens, at - 1, f"expected {expected}, got {{got}}")
+            items.append(node)
     if not productions:
         raise GramlmError("empty grammar text")
     # Checked after the whole text parses, so syntax errors come first.
     defined: dict[str, int] = {}
     for head in heads:
-        name = tokens[head][1]
+        name = tokens[head]
         if name in defined:
-            raise GramlmError(f"line {lines[head]}: duplicate production {name!r} (first on line {defined[name]})")
-        defined[name] = lines[head]
-    for at in refs:
-        ref = tokens[at][1]
-        if ref not in defined:
-            name = tokens[heads[bisect(heads, at) - 1]][1]
-            raise GramlmError(f"line {lines[at]}: {name!r} references undefined {ref!r}")
+            line, first = _line(text, head), _line(text, defined[name])
+            raise GramlmError(f"line {line}: duplicate production {name!r} (first on line {first})")
+        defined[name] = head
+    undefined = {token for token in nodes if token[0] != '"' and token not in defined}
+    if undefined:  # every undefined name in the text is a reference, not a head
+        at = next(at for at, token in enumerate(tokens) if token in undefined)
+        name = tokens[heads[bisect(heads, at) - 1]]
+        raise GramlmError(f"line {_line(text, at)}: {name!r} references undefined {tokens[at]!r}")
     return ContextFreeGrammar(productions[0][0], tuple(productions))
+
+
+def _error(text: str, tokens: list[str], at: int, message: str) -> GramlmError:
+    """``message`` about token ``at``, which it names as ``{got}``, with its
+    line; but the first stray character in the text, if any, is the error."""
+    for stray, token in enumerate(tokens):
+        if len(token) == 1 and token not in "()|;*" and not _NAME_RE.fullmatch(token):
+            return GramlmError(f"line {_line(text, stray)}: unexpected character {token!r}")
+    message = message.format(got=repr(tokens[at] or "end of input"))
+    return GramlmError(f"line {_line(text, at)}: {message}")
+
+
+def _line(text: str, at: int) -> int:
+    """The line of token ``at``, as ``str.splitlines`` counts lines; the end
+    of the text is on its last line."""
+    start = [match.start(1) for match in _CFG_TOKEN_RE.finditer(text)][at]
+    return len(text[: start + 1].splitlines()) if start >= 0 else len(text.splitlines()) or 1

@@ -69,18 +69,30 @@ def strip_features(grammar: Grammar, keep: Union[str, Iterable[str]] = "syntacti
         if unknown:
             raise CompileError(f"cannot keep unknown features: {sorted(unknown)}")
 
+    # A category, rule or entry that loses no constraint is kept as it is.
     def strip_category(cat: Category) -> Category:
-        return Category(cat.symbol, tuple((f, v) for f, v in cat.constraints if f in kept))
+        for feature, _ in cat.constraints:
+            if feature not in kept:
+                return Category(cat.symbol, tuple((f, v) for f, v in cat.constraints if f in kept))
+        return cat
 
-    return replace(
-        grammar,
-        features=tuple(d for d in grammar.features if d.name in kept),
-        rules=tuple(
-            Rule(r.id, strip_category(r.mother), tuple(strip_category(d) for d in r.daughters), line=r.line)
-            for r in grammar.rules
-        ),
-        lexicon=tuple(LexEntry(e.surface, strip_category(e.category), line=e.line) for e in grammar.lexicon),
-    )
+    def strip_rule(rule: Rule) -> Rule:
+        mother = strip_category(rule.mother)
+        daughters = tuple(map(strip_category, rule.daughters))
+        if mother is rule.mother and daughters == rule.daughters:  # compared by identity first
+            return rule
+        return Rule(rule.id, mother, daughters, line=rule.line)
+
+    def strip_entry(entry: LexEntry) -> LexEntry:
+        category = strip_category(entry.category)
+        return entry if category is entry.category else LexEntry(entry.surface, category, line=entry.line)
+
+    features = tuple(d for d in grammar.features if d.name in kept)
+    rules = tuple(map(strip_rule, grammar.rules))
+    lexicon = tuple(map(strip_entry, grammar.lexicon))
+    if features == grammar.features and rules == grammar.rules and lexicon == grammar.lexicon:
+        return grammar
+    return replace(grammar, features=features, rules=rules, lexicon=lexicon)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CAP_STRINGS, ResourceCapError, UnknownTokenError, collector_paused
-from .grammar import Category, Grammar, LexEntry, Rule, Var, constrained_features, surface_tokens
+from .grammar import Category, Grammar, LexEntry, Rule, Var, surface_tokens
 
 FREE = None
 
@@ -55,10 +55,15 @@ class _Analyzer:
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
         self.domains = {d.name: d.values for d in grammar.features}
-        self.symbols = {c.symbol for r in grammar.rules for c in r.categories()}
-        self.symbols.update(e.category.symbol for e in grammar.lexicon)
+        # Every symbol's features constrained on any of its occurrences, in
+        # declaration order, gathered in one pass over the grammar.
+        found: dict[str, set[str]] = {}
+        for cat in [c for r in grammar.rules for c in r.categories()] + [e.category for e in grammar.lexicon]:
+            found.setdefault(cat.symbol, set()).update(f for f, _ in cat.constraints)
+        order = {d.name: i for i, d in enumerate(grammar.features)}
+        self.symbols = set(found)
         self.relevant: dict[str, tuple[str, ...]] = {
-            symbol: constrained_features(grammar, symbol, include_lexicon=True) for symbol in self.symbols
+            symbol: tuple(sorted(features, key=order.__getitem__)) for symbol, features in found.items()
         }
         self.patterns: dict[str, list[Pattern]] = {
             rule.id: [self._pattern(d) for d in rule.daughters] for rule in grammar.rules

@@ -6,6 +6,8 @@ fresh, uncached object (determinism checks) call the library directly.
 """
 
 import functools
+import re
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -20,9 +22,9 @@ from gramlm import (
     merge_all,
     parse_grammar_file,
 )
-from gramlm.cfg import ContextFreeGrammar, Expr, Ref, Term, alt, seq
+from gramlm.cfg import ContextFreeGrammar, Expr, Ref, Star, Term, alt, seq
 from gramlm.compiler import DimSpec, InstantiationSet, Instantiations, rect_name
-from gramlm.errors import CompileError, UnknownTokenError
+from gramlm.errors import CompileError, GramlmError, UnknownTokenError
 from gramlm.grammar import Grammar, Rule
 from gramlm.oracle import ParseResult, _Item, _parse_analyzer
 
@@ -488,6 +490,145 @@ def reference_emit(grammar: Grammar, inst: Instantiations) -> tuple[dict, Contex
     emission from it."""
     merged = {rule.id: reference_merge_ranges(inst.per_rule[rule.id], grammar) for rule in grammar.rules}
     return merged, reference_emit_cfg(grammar, inst, merged)
+
+
+# ---------------------------------------------------------------------------
+# Reference CFG text reader: ``cfg_from_text`` as it was when it split the
+# text into lines, kept unchanged so that the one-pass reader can be held to
+# the same grammars and the same error messages, lines included. It tokenizes
+# each line with the pattern below, then parses by recursive descent.
+
+
+_REFERENCE_CFG_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#.*)
+  | (?P<arrow>->)
+  | (?P<punct>[()|;*])
+  | (?P<string>"[^"]*")
+  | (?P<name>[a-z0-9_+]+(?:-[a-z0-9_+]+)*)
+    """,
+    re.VERBOSE,
+)
+
+
+# Deepest nesting of groups and repetitions cfg_from_text accepts. The
+# parser and every walk over an expression recurse once per level, so this
+# keeps them far inside Python's recursion limit.
+_MAX_NESTING = 100
+
+
+def reference_cfg_from_text(text: str) -> ContextFreeGrammar:
+    """Parse the text format; every syntax error names its line."""
+    tokens: list[tuple[str, str]] = []
+    lines: list[int] = []
+    line_no = 1
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        pos = 0
+        while pos < len(line):
+            match = _REFERENCE_CFG_TOKEN_RE.match(line, pos)
+            if match is None:
+                raise GramlmError(f"line {line_no}: unexpected character {line[pos]!r}")
+            kind = match.lastgroup or ""
+            if kind == "comment":
+                break
+            if kind != "ws":
+                tokens.append((kind, match.group()))
+                lines.append(line_no)
+            pos = match.end()
+    tokens.append(("end", "end of input"))
+    lines.append(line_no)
+
+    index = 0
+
+    def error(message: str) -> GramlmError:
+        return GramlmError(f"line {lines[index]}: {message}")
+
+    def peek() -> tuple[str, str]:
+        return tokens[index]
+
+    def take(kind: str, value=None) -> str:
+        nonlocal index
+        got_kind, got = peek()
+        if got_kind != kind or (value is not None and got != value):
+            raise error(f"expected {value or kind!r}, got {got!r}")
+        index += 1
+        return got
+
+    # Each parse_* takes the number of enclosing groups and returns the node
+    # with its nesting: the groups and repetitions on its deepest path.
+    def parse_alt(depth: int) -> tuple[Expr, int]:
+        option, nesting = parse_seq(depth)
+        options = [option]
+        while peek() == ("punct", "|"):
+            take("punct", "|")
+            option, inner = parse_seq(depth)
+            options.append(option)
+            nesting = max(nesting, inner)
+        return alt(options), nesting
+
+    def parse_seq(depth: int) -> tuple[Expr, int]:
+        item, nesting = parse_postfix(depth)
+        items = [item]
+        while peek()[0] in ("name", "string") or peek() == ("punct", "("):
+            item, inner = parse_postfix(depth)
+            items.append(item)
+            nesting = max(nesting, inner)
+        return seq(items), nesting
+
+    def parse_postfix(depth: int) -> tuple[Expr, int]:
+        node, nesting = parse_primary(depth)
+        while peek() == ("punct", "*"):
+            take("punct", "*")
+            node, nesting = Star(node), nesting + 1
+            if depth + nesting > _MAX_NESTING:
+                raise error(f"groups and repetitions nested deeper than {_MAX_NESTING}")
+        return node, nesting
+
+    def parse_primary(depth: int) -> tuple[Expr, int]:
+        kind, value = peek()
+        if kind == "string":
+            take("string")
+            return Term(value[1:-1]), 0
+        if kind == "name":
+            refs.append(index)
+            take("name")
+            return Ref(value), 0
+        if (kind, value) == ("punct", "("):
+            if depth == _MAX_NESTING:
+                raise error(f"groups and repetitions nested deeper than {_MAX_NESTING}")
+            take("punct", "(")
+            node, nesting = parse_alt(depth + 1)
+            take("punct", ")")
+            return node, nesting + 1
+        raise error(f"expected a terminal, name, or group, got {value!r}")
+
+    productions: list[tuple[str, Expr]] = []
+    # The token index of each production's name and of each reference.
+    heads: list[int] = []
+    refs: list[int] = []
+    while peek()[0] != "end":
+        heads.append(index)
+        name = take("name")
+        take("arrow")
+        expr, _ = parse_alt(0)
+        take("punct", ";")
+        productions.append((name, expr))
+    if not productions:
+        raise GramlmError("empty grammar text")
+    # Checked after the whole text parses, so syntax errors come first.
+    defined: dict[str, int] = {}
+    for head in heads:
+        name = tokens[head][1]
+        if name in defined:
+            raise GramlmError(f"line {lines[head]}: duplicate production {name!r} (first on line {defined[name]})")
+        defined[name] = lines[head]
+    for at in refs:
+        ref = tokens[at][1]
+        if ref not in defined:
+            name = tokens[heads[bisect(heads, at) - 1]][1]
+            raise GramlmError(f"line {lines[at]}: {name!r} references undefined {ref!r}")
+    return ContextFreeGrammar(productions[0][0], tuple(productions))
 
 
 # ---------------------------------------------------------------------------

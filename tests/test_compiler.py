@@ -31,7 +31,7 @@ from gramlm import (
     pfsg_enumerate,
     strip_features,
 )
-from gramlm.cfg import ContextFreeGrammar, Ref, Term, alt, components, seq
+from gramlm.cfg import Alt, ContextFreeGrammar, Ref, Seq, Term, alt, components, seq
 from gramlm.cli import _build_parser
 from gramlm.compiler import _Index, _projector, rect_name
 from gramlm.errors import CAP_TUPLES
@@ -81,6 +81,50 @@ def test_strip_is_idempotent():
     g = grammar("shuttle_rels")
     once = strip_features(g, "syntactic")
     assert strip_features(once, "syntactic") == once
+
+
+def _strip_by_rebuilding(g: Grammar, kept: set[str]) -> Grammar:
+    """Stripping as a fresh copy: every category, rule and entry rebuilt."""
+
+    def category(cat: Category) -> Category:
+        return Category(cat.symbol, tuple((f, v) for f, v in cat.constraints if f in kept))
+
+    return Grammar(
+        tuple(d for d in g.features if d.name in kept),
+        g.start,
+        tuple(Rule(r.id, category(r.mother), tuple(map(category, r.daughters)), line=r.line) for r in g.rules),
+        tuple(LexEntry(e.surface, category(e.category), line=e.line) for e in g.lexicon),
+        start_line=g.start_line,
+    )
+
+
+@pytest.mark.parametrize("keep", ["syntactic", "first", "none"])
+@pytest.mark.parametrize("name", ALL_ASSETS)
+def test_strip_keeps_every_part_that_loses_no_constraint(name, keep):
+    g = grammar(name)
+    kept = {
+        "syntactic": {d.name for d in g.features if d.kind == SYNTACTIC},
+        "first": {d.name for d in g.features[:1]},
+        "none": set(),
+    }[keep]
+    stripped = strip_features(g, "syntactic" if keep == "syntactic" else kept)
+    assert stripped == _strip_by_rebuilding(g, kept)
+    assert stripped.start_line == g.start_line
+    changed = 0
+    for old, new in zip(g.rules, stripped.rules):
+        assert new.line == old.line
+        for before, after in zip(old.categories(), new.categories()):
+            assert (after is before) == all(f in kept for f, _ in before.constraints)
+        assert (new is old) == all(a is b for a, b in zip(old.categories(), new.categories()))
+        changed += new is not old
+    for old, new in zip(g.lexicon, stripped.lexicon):
+        assert new.line == old.line
+        assert (new is old) == (new.category is old.category) == all(f in kept for f, _ in old.category.constraints)
+        changed += new is not old
+    if keep == "syntactic":
+        assert changed == (3 if name in SHUTTLES else 0)
+    if stripped.features == g.features and not changed:
+        assert stripped is g
 
 
 # ---- instantiation and merging ----
@@ -691,6 +735,32 @@ def test_mask_emit_matches_the_reference(name):
     g = VARIANTS[name]() if name in VARIANTS else grammar(name)
     stripped = strip_features(g)
     assert_emit_matches_the_reference(stripped, compute_instantiations(stripped))
+
+
+def _leaves(expr) -> list:
+    """Every Ref and Term object under ``expr``, shared nodes walked once."""
+    seen: set[int] = set()
+    leaves, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Ref, Term)):
+            leaves.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.items if isinstance(node, Seq) else node.options if isinstance(node, Alt) else [node.body])
+    return leaves
+
+
+@pytest.mark.parametrize("name", ALL_ASSETS + sorted(VARIANTS))
+def test_compiled_cfg_text_reads_back_equal_with_one_node_per_name_and_token(name):
+    g = VARIANTS[name]() if name in VARIANTS else grammar(name)
+    cfg = compile_grammar(g).cfg
+    read = cfg_from_text(cfg_to_text(cfg))
+    assert read == cfg
+    leaves = [leaf for _, expr in read.productions for leaf in _leaves(expr)]
+    for kind in (Ref, Term):
+        nodes = [leaf for leaf in leaves if isinstance(leaf, kind)]
+        assert len({id(node) for node in nodes}) == len(set(nodes))
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ import sys
 import weakref
 
 import pytest
-from conftest import SHUTTLES, TOYS, grammar
+from conftest import SHUTTLES, TOYS, grammar, reference_cfg_from_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -344,3 +344,130 @@ def test_cfg_checks_references_in_shared_nodes():
         ContextFreeGrammar("s", (("s", Term("x")), ("a", seq([shared, shared]))))
     with pytest.raises(GramlmError, match="^duplicate production names$"):
         ContextFreeGrammar("s", (("s", Term("x")), ("s", Term("y"))))
+
+
+# ---- the one-pass CFG reader against the line-splitting reference ----
+
+# Every line break str.splitlines knows, and the two-character one.
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_READ_NAMES = ("s", "a", "b-c", "np__agr-s3+p3", "x0")
+_READ_QUOTED = ('"x"', '""', '"a b"', '"#"', '"y # z"', '"-"')
+# Characters that start no token, and characters that do.
+_STRAY = ("!", "-", '"', "A", "\xe9", ">", "{")
+_TOKEN_CHARS = ("a", "-", ">", "(", ")", "|", ";", "*", "#", " ", '"', *_LINE_BREAKS)
+
+
+def _read(reader, text):
+    """A reader's grammar, or its error message."""
+    try:
+        return reader(text)
+    except GramlmError as err:
+        return str(err)
+
+
+@st.composite
+def _cfg_tokens(draw) -> list[str]:
+    """The tokens of CFG text with groups and repetitions up to three deep.
+    Heads are distinct in half the draws, and one name that may have no
+    production is referred to, so duplicate productions and undefined
+    references occur too."""
+    heads = draw(st.lists(st.sampled_from(_READ_NAMES), min_size=1, max_size=4, unique=draw(st.booleans())))
+    primaries = st.sampled_from(heads + [draw(st.sampled_from(_READ_NAMES))] + list(_READ_QUOTED))
+
+    def options(depth: int) -> list[str]:
+        out: list[str] = []
+        for k in range(draw(st.integers(1, 3))):
+            out += ["|"] if k else []
+            for _ in range(draw(st.integers(1, 3))):
+                if depth < 3 and draw(st.integers(0, 3)) == 0:
+                    out += ["(", *options(depth + 1), ")"]
+                else:
+                    out.append(draw(primaries))
+                out += ["*"] * draw(st.integers(0, 2))
+        return out
+
+    tokens: list[str] = []
+    for head in heads:
+        tokens += [head, "->", *options(0), ";"]
+    return tokens
+
+
+# What goes between two tokens: nothing, blanks, each line break, blank
+# lines and comments (which end at any line break).
+_GAPS = st.sampled_from(
+    ("", " ", "  ", "\t", "\xa0", "\x1f", "\n\n", " # note\n", '#-> ( "\r\n', "  # x\u2028", *_LINE_BREAKS)
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(data=st.data(), tokens=_cfg_tokens())
+def test_cfg_reader_matches_the_reference(data, tokens):
+    """Both readers give the same grammar or the same message, line
+    included, also after one token or character is inserted, deleted or
+    replaced."""
+    edit = data.draw(st.sampled_from((None, "insert", "delete", "replace")))
+    by_token = data.draw(st.booleans())
+    if edit and by_token:
+        at = data.draw(st.integers(0, len(tokens)))
+        pool = ("->", "(", ")", "|", ";", "*", *_READ_NAMES, *_READ_QUOTED, *_STRAY)
+        new = [data.draw(st.sampled_from(pool))] if edit != "delete" else []
+        tokens = tokens[:at] + new + tokens[at + (edit != "insert") :]
+    text = "".join(data.draw(_GAPS) + token for token in tokens) + data.draw(_GAPS)
+    if edit and not by_token:
+        at = data.draw(st.integers(0, len(text)))
+        new = data.draw(st.sampled_from(_STRAY + _TOKEN_CHARS)) if edit != "delete" else ""
+        text = text[:at] + new + text[at + (edit != "insert") :]
+    assert _read(cfg_from_text, text) == _read(reference_cfg_from_text, text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # A stray character anywhere wins over an earlier syntax error.
+        ('s -> ;\nt -> "x" ! ;', "line 2: unexpected character '!'"),
+        ('s -> ( "x" ;\n\n# "\nt -> A ;', "line 4: unexpected character 'A'"),
+        ('s ( -> "x" - ;', "line 1: unexpected character '-'"),
+        # An arrow needs no blanks around it, and a name may hold '-'.
+        ('a->b-c ;b-c->"x";', ContextFreeGrammar("a", (("a", Ref("b-c")), ("b-c", Term("x"))))),
+        ('a->b', "line 1: expected ';', got 'end of input'"),
+        # '#' inside a quoted token starts no comment.
+        ('s -> "a#b" "#" ; # "c"', ContextFreeGrammar("s", (("s", seq([Term("a#b"), Term("#")])),))),
+        # A quoted token ends on its line; an unterminated one is stray.
+        ('s -> "x ;', "line 1: unexpected character '\"'"),
+        ('s -> "x" ;\nt -> "y\n" ;', "line 2: unexpected character '\"'"),
+        ('s -> "x\u2028" ;', "line 1: unexpected character '\"'"),
+        ('s -> "" "" ;', ContextFreeGrammar("s", (("s", seq([Term(""), Term("")])),))),
+        # Lines are counted as str.splitlines counts them.
+        ('s -> "x" ;\r\nt -> | ;', "line 2: expected a terminal, name, or group, got '|'"),
+        ('s -> "x" ;\r\n\r\nt -> "y" ;\r\nt -> "z" ;', "line 4: duplicate production 't' (first on line 3)"),
+        ('s -> "x" ;\u2028t -> | ;', "line 2: expected a terminal, name, or group, got '|'"),
+        ('s -> "x" # c\u2029t ;', "line 2: 's' references undefined 't'"),
+        ('s -> "x" \r\r\n\x85 u ;', "line 4: 's' references undefined 'u'"),
+        ('s -> ( "x"\n\n', "line 2: expected ')', got 'end of input'"),
+        ('s -> ( "x"\r\n\r\n', "line 2: expected ')', got 'end of input'"),
+        ("", "empty grammar text"),
+        ("# only\u2028\n  ", "empty grammar text"),
+    ],
+)
+def test_cfg_reader_fixed_cases(text, want):
+    assert _read(cfg_from_text, text) == want
+    assert _read(reference_cfg_from_text, text) == want
+
+
+@pytest.mark.parametrize("depth", [100, 101])
+@pytest.mark.parametrize("shape", ["groups", "repetitions"])
+def test_cfg_reader_nesting_cap_matches_the_reference(shape, depth):
+    # Past the cap, the error names the line of the '(' past it, or of the
+    # token after the '*' past it.
+    if shape == "groups":
+        text = "a -> s ;\u2028s -> " + "( " * depth + '"x"' + " )" * depth + " ;"
+        want = "line 2: groups and repetitions nested deeper than 100"
+    else:
+        text = 'a -> s ;\r\ns -> "x"' + " *" * depth + "\u2029;"
+        want = "line 3: groups and repetitions nested deeper than 100"
+    got = _read(cfg_from_text, text)
+    assert got == _read(reference_cfg_from_text, text)
+    if depth == 100:
+        assert isinstance(got, ContextFreeGrammar)
+    else:
+        assert got == want

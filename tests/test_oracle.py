@@ -17,6 +17,7 @@ from test_pfsg import LONG_SHUTTLE_PARSES, SHUTTLE_PARSES
 
 from gramlm import ResourceCapError, UnknownTokenError, oracle_enumerate, oracle_parse, parse_grammar
 from gramlm import oracle as oracle_module
+from gramlm.grammar import constrained_features
 
 TINY_LANGUAGE = {("the", "dog", "barks"), ("the", "dogs", "bark")}
 
@@ -303,3 +304,25 @@ def test_parse_matches_the_reference_parser_on_shuttle_sentences(name):
         for limit, cap in REFERENCE_LIMITS:
             want = reference_oracle_parse(g, tokens, max_derivations=limit, count_cap=cap)
             assert oracle_parse(g, tokens, max_derivations=limit, count_cap=cap) == want, tokens
+
+
+# ---- the analyzer's tables ----
+
+
+def _assert_relevant_features_match(g):
+    analyzer = oracle_module._Analyzer(g)
+    symbols = {c.symbol for r in g.rules for c in r.categories()} | {e.category.symbol for e in g.lexicon}
+    assert analyzer.symbols == symbols
+    assert analyzer.relevant == {s: constrained_features(g, s, include_lexicon=True) for s in symbols}
+
+
+@pytest.mark.parametrize("name", TOYS + SHUTTLES)
+def test_relevant_features_are_the_constrained_features(name):
+    # Gathered in one pass, they are what the per-symbol walk finds.
+    _assert_relevant_features_match(grammar(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_feature_grammars())
+def test_relevant_features_are_the_constrained_features_on_random_grammars(text):
+    _assert_relevant_features_match(parse_grammar(text))
