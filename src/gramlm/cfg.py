@@ -2,8 +2,10 @@
 
 Production bodies are trees of :class:`Term` (quoted terminal),
 :class:`Ref` (nonterminal reference), :class:`Seq`, :class:`Alt`, and
-postfix :class:`Star`. Constructors normalize away single-element
-sequences and alternations so structural equality matches the text format.
+postfix :class:`Star`, each a :func:`~gramlm.errors.record` (a frozen
+dataclass with slots, built through them). Constructors normalize away
+single-element sequences and alternations so structural equality matches
+the text format.
 
 Text format, one production per line::
 
@@ -12,7 +14,10 @@ Text format, one production per line::
 The first production is the start symbol. :func:`cfg_from_text` reads it
 back with one ``findall`` and one loop, and interns its leaves: a read
 holds one :class:`Ref` per distinct name and one :class:`Term` per distinct
-quoted token. It finds the line of an error only when raising one.
+quoted token. It finds the line of an error only when raising one, and
+checks the names itself, so the grammar it returns is built without the
+node walk :class:`ContextFreeGrammar` makes on every other construction.
+It runs with the cyclic garbage collector paused.
 
 :func:`components` is the one strongly connected component search over
 production names, for left-recursion elimination and the parser's unit ranks.
@@ -25,30 +30,30 @@ from bisect import bisect
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .errors import GramlmError
+from .errors import GramlmError, collector_paused, record
 
 
-@dataclass(frozen=True)
+@record
 class Term:
     token: str
 
 
-@dataclass(frozen=True)
+@record
 class Ref:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Seq:
     items: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Alt:
     options: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Star:
     body: "Expr"
 
@@ -105,6 +110,16 @@ class ContextFreeGrammar:
                         stack.extend(reversed(node.options))
                     else:
                         stack.append(node.body)
+
+
+def _prechecked(start: str, productions: tuple[tuple[str, Expr], ...]) -> ContextFreeGrammar:
+    """A grammar whose names the caller has already checked as
+    :meth:`ContextFreeGrammar.__post_init__` checks them, built without
+    walking its nodes again."""
+    cfg = object.__new__(ContextFreeGrammar)
+    object.__setattr__(cfg, "start", start)
+    object.__setattr__(cfg, "productions", productions)
+    return cfg
 
 
 _DONE = 1 << 62  # the low link of a node whose component is complete
@@ -202,13 +217,16 @@ _MAX_NESTING = 100
 _TOO_DEEP = f"groups and repetitions nested deeper than {_MAX_NESTING}"
 
 
+@collector_paused
 def cfg_from_text(text: str) -> ContextFreeGrammar:
     """Parse the text format; every syntax error names its line.
 
     The tokens are the strings of one ``findall``, read by one loop with a
     stack of open groups. A read makes one :class:`Ref` per distinct name
     and one :class:`Term` per distinct quoted token. A line is found only
-    when raising, by scanning the text again.
+    when raising, by scanning the text again. Duplicate heads and undefined
+    names are checked here, from the heads and the interned names, so the
+    grammar is built without a second walk over its nodes.
     """
     tokens = _CFG_TOKEN_RE.findall(text)
     nodes: dict[str, Expr] = {}  # each name and quoted token (quotes kept) read so far
@@ -287,7 +305,7 @@ def cfg_from_text(text: str) -> ContextFreeGrammar:
         at = next(at for at, token in enumerate(tokens) if token in undefined)
         name = tokens[heads[bisect(heads, at) - 1]]
         raise GramlmError(f"line {_line(text, at)}: {name!r} references undefined {tokens[at]!r}")
-    return ContextFreeGrammar(productions[0][0], tuple(productions))
+    return _prechecked(productions[0][0], tuple(productions))
 
 
 def _error(text: str, tokens: list[str], at: int, message: str) -> GramlmError:

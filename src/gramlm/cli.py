@@ -98,8 +98,9 @@ def _add_caps(p: argparse.ArgumentParser, strings: bool = False) -> None:
         type=_count,
         default=CAP_TUPLES,
         metavar="N",
-        help="abort instantiation beyond N candidate tuples, and left-recursion "
-        "elimination beyond N substituted alternatives (default: %(default)s)",
+        help="abort instantiation beyond N lexicon vectors, candidate tuples and "
+        "derived vectors, counted together, and left-recursion elimination beyond "
+        "N substituted alternatives, counted apart (default: %(default)s)",
     )
     if strings:
         p.add_argument(

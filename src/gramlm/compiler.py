@@ -11,7 +11,10 @@ The pipeline has four stages:
    still unsupported. The first vector supported under a key counts down
    the candidates waiting on it; a candidate fires at zero, which supports
    its mother vectors. One demand closure from the start symbol then
-   retains the fired candidates it reaches.
+   retains the fired candidates it reaches. Fired and retained candidates
+   are kept as their numbers, which run in product order over each rule's
+   domain-ordered values, so sorting a rule's retained numbers puts its
+   tuples in domain order.
 3. :func:`merge_ranges` — greedily merge atomic tuples into rule instances
    carrying value *sets* per dimension, preserving an exact disjoint cover
    of the tuple set. A dimension merges only if its slots span at most one
@@ -47,7 +50,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, alt, components, seq
-from .errors import CAP_TUPLES, CompileError, ResourceCapError
+from .errors import CAP_TUPLES, CompileError, ResourceCapError, collector_paused, record
 from .grammar import SYNTACTIC, Category, FeatureDecl, Grammar, LexEntry, Rule, Var
 
 Vector = tuple[str, ...]
@@ -95,7 +98,7 @@ def strip_features(grammar: Grammar, keep: Union[str, Iterable[str]] = "syntacti
     return replace(grammar, features=features, rules=rules, lexicon=lexicon)
 
 
-@dataclass(frozen=True)
+@record
 class SlotRef:
     """A constrained feature slot: occurrence 0 is the mother, 1.. daughters."""
 
@@ -103,7 +106,7 @@ class SlotRef:
     feature: str
 
 
-@dataclass(frozen=True)
+@record
 class DimSpec:
     """One instantiation dimension: a variable's slot group or a lone slot."""
 
@@ -111,7 +114,7 @@ class DimSpec:
     mergeable: bool
 
 
-@dataclass(frozen=True)
+@record
 class RuleInstance:
     """A merged instance: a value set per dimension (a rectangle of tuples),
     as values in domain order and as the bit masks emission works on."""
@@ -122,7 +125,7 @@ class RuleInstance:
     masks: tuple[int, ...] = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class InstantiationSet:
     """The retained atomic tuples of one rule, over its dimensions."""
 
@@ -179,8 +182,8 @@ class _Index:
         self.decl_index = {d.name: i for i, d in enumerate(grammar.features)}
         self.codes = _ValueCodes(grammar.features)
         self.domains = self.codes.domains
-        # Naming dimensions as constrained_features(include_lexicon=False)
-        # defines them, gathered in one pass over the rules.
+        # Naming dimensions: per symbol, the features some rule constrains
+        # on it, in declaration order, gathered in one pass over the rules.
         constrained: dict[str, set[str]] = {}
         self.rules_by_mother: dict[str, list[Rule]] = {}
         for rule in grammar.rules:
@@ -288,6 +291,11 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
     rule fixes on a symbol has one set of the keys already expanded, so
     each mother key and each daughter key is expanded once.
 
+    Candidates are numbered rule by rule, in product order over each
+    dimension's values in domain order; fired and retained candidates are
+    kept as numbers, and each rule's tuples come out in number order, which
+    is domain order, whatever order the demand pass walked its sets in.
+
     The cap counts lexicon vectors, candidates and derived vectors.
     """
     index = _Index(grammar)
@@ -305,14 +313,16 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
     # under a key, and the keys the demand pass has opened.
     daughter_entries: dict[str, dict[tuple[int, ...], tuple]] = {sym: {} for sym in index.symbols}
     # Per symbol and per tuple of naming positions some rule fixes on it as
-    # a mother: the projector of those positions, the fired candidates keyed
-    # by their values there, each as (rule number, values), and the keys the
-    # demand pass has expanded.
+    # a mother: the projector of those positions, the numbers of the fired
+    # candidates keyed by their values there, and the keys the demand pass
+    # has expanded.
     mother_entries: dict[str, dict[tuple[int, ...], tuple]] = {sym: {} for sym in index.symbols}
     rule_dims = [index.rule_dims(rule) for rule in grammar.rules]
     plans: list[tuple] = []
     rule_daughters: list[list[tuple]] = []
-    # Per candidate: its rule number, its values and its count of missing keys.
+    # Per candidate: its rule number, its values and its count of missing
+    # keys. Candidates are numbered rule by rule, each rule's in product
+    # order over its choices, which are in domain order.
     cand_rules: list[int] = []
     cand_values: list[Vector] = []
     missing: list[int] = []
@@ -333,7 +343,11 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
         for dim in dims:
             slot = dim.slots[0]
             constraint = categories[slot.occ].constraint_for(slot.feature)
-            choices.append(index.domains[slot.feature] if isinstance(constraint, Var) else constraint.values)
+            if isinstance(constraint, Var):
+                choices.append(index.domains[slot.feature])
+            else:  # in domain order, as a parsed grammar already has it; unknown values last
+                bits = index.codes.bits[slot.feature]
+                choices.append(sorted(constraint.values, key=lambda value: bits.get(value, 1 << len(bits))))
         free_spans = [
             index.domains[feature] for feature in index.naming_dims[rule.mother.symbol]
         ]
@@ -386,14 +400,12 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
     # Fire candidates, and group the fired ones by their mother-side values.
     while ready:
         cand = ready.pop()
-        number = cand_rules[cand]
-        mother, mother_positions, project, free_spans, groups = plans[number]
-        values = cand_values[cand]
-        key = project(values)
+        mother, mother_positions, project, free_spans, groups = plans[cand_rules[cand]]
+        key = project(cand_values[cand])
         if key in groups:
-            groups[key].append((number, values))
+            groups[key].append(cand)
             continue
-        groups[key] = [(number, values)]
+        groups[key] = [cand]
         spans = list(free_spans)
         for pos, value in zip(mother_positions, key):
             spans[pos] = (value,)
@@ -416,7 +428,7 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
     demanded: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
     demanded[grammar.start] = set(supported[grammar.start])
     worklist: list[tuple[str, Vector]] = [(grammar.start, v) for v in demanded[grammar.start]]
-    retained: list[list[Vector]] = [[] for _ in grammar.rules]
+    retained: list[list[int]] = [[] for _ in grammar.rules]
     while worklist:
         symbol, vec = worklist.pop()
         for project, groups, done in expansions[symbol]:
@@ -424,8 +436,10 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
             if key in done:
                 continue
             done.add(key)
-            for number, values in groups.get(key, ()):
-                retained[number].append(values)
+            for cand in groups.get(key, ()):
+                number = cand_rules[cand]
+                retained[number].append(cand)
+                values = cand_values[cand]
                 for daughter, pick, table, opened in rule_daughters[number]:
                     dkey = pick(values)
                     if dkey in opened:
@@ -437,11 +451,13 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
                             seen.add(dvec)
                             worklist.append((daughter, dvec))
 
+    # A rule's candidates are numbered in product order over domain-ordered
+    # choices, so sorting its retained numbers sorts its tuples in domain
+    # order, whatever order the demand pass reached them in.
     per_rule = {}
-    for rule, dims, tuples in zip(grammar.rules, rule_dims, retained):
-        bits = [index.codes.bits[dim.slots[0].feature] for dim in dims]
-        tuples.sort(key=lambda values: tuple(code[v] for code, v in zip(bits, values)))
-        per_rule[rule.id] = InstantiationSet(rule.id, dims, tuple(tuples))
+    for rule, dims, cands in zip(grammar.rules, rule_dims, retained):
+        cands.sort()
+        per_rule[rule.id] = InstantiationSet(rule.id, dims, tuple(map(cand_values.__getitem__, cands)))
     return Instantiations(
         per_rule,
         {sym: frozenset(vectors) for sym, vectors in supported.items()},
@@ -797,6 +813,7 @@ class CompileResult:
     stats: ExpansionStats
 
 
+@collector_paused
 def compile_grammar(
     grammar: Grammar,
     features: Union[str, Iterable[str]] = "syntactic",
@@ -805,7 +822,8 @@ def compile_grammar(
     """Run the whole pipeline on an (already variant-transformed) grammar.
 
     ``cap_tuples`` caps instantiation and, as a separate budget, the
-    alternatives left-recursion elimination substitutes.
+    alternatives left-recursion elimination substitutes. The cyclic
+    garbage collector is paused throughout (see :func:`collector_paused`).
     """
     stripped = strip_features(grammar, features)
     inst = compute_instantiations(stripped, cap_tuples=cap_tuples)

@@ -502,22 +502,3 @@ def print_grammar(grammar: Grammar) -> str:
 def surface_tokens(grammar: Grammar) -> frozenset[str]:
     """Every token that appears in some lexical surface form."""
     return frozenset(tok for entry in grammar.lexicon for tok in entry.surface)
-
-
-def constrained_features(grammar: Grammar, symbol: str, include_lexicon: bool = True) -> tuple[str, ...]:
-    """Features constrained on any occurrence of ``symbol``, in declaration order.
-
-    With ``include_lexicon=False`` only rule occurrences count, which is the
-    notion the compiler uses for naming dimensions.
-    """
-    found: set[str] = set()
-    for rule in grammar.rules:
-        for cat in rule.categories():
-            if cat.symbol == symbol:
-                found.update(f for f, _ in cat.constraints)
-    if include_lexicon:
-        for entry in grammar.lexicon:
-            if entry.category.symbol == symbol:
-                found.update(f for f, _ in entry.category.constraints)
-    order = {d.name: i for i, d in enumerate(grammar.features)}
-    return tuple(sorted(found, key=order.__getitem__))

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cfg import Alt, ContextFreeGrammar, Expr, Ref, Seq, Star, Term, components
-from .errors import CAP_STRINGS, CompileError, ResourceCapError, UndefinedPerplexityError, collector_paused
+from .errors import CAP_STRINGS, CompileError, ResourceCapError, UndefinedPerplexityError, collector_paused, record
 
 LOOP_MASS = 0.5
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
     src: int
     dst: int
@@ -146,6 +146,7 @@ class _GraphBuilder:
         return Pfsg(self.name, self.nodes, 0, 1, transitions)
 
 
+@collector_paused
 def build_pfsg(cfg: ContextFreeGrammar) -> PfsgSet:
     graphs: dict[str, Pfsg] = {}
     for name, expr in cfg.productions:

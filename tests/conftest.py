@@ -10,6 +10,7 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,9 +24,18 @@ from gramlm import (
     parse_grammar_file,
 )
 from gramlm.cfg import ContextFreeGrammar, Expr, Ref, Star, Term, alt, seq
-from gramlm.compiler import DimSpec, InstantiationSet, Instantiations, rect_name
-from gramlm.errors import CompileError, GramlmError, UnknownTokenError
-from gramlm.grammar import Grammar, Rule
+from gramlm.compiler import (
+    DimSpec,
+    InstantiationSet,
+    Instantiations,
+    Vector,
+    _Index,
+    _lex_vectors,
+    _projector,
+    rect_name,
+)
+from gramlm.errors import CAP_TUPLES, CompileError, GramlmError, ResourceCapError, UnknownTokenError
+from gramlm.grammar import Grammar, Rule, Var
 from gramlm.oracle import ParseResult, _Item, _parse_analyzer
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "gramlm" / "assets"
@@ -629,6 +639,225 @@ def reference_cfg_from_text(text: str) -> ContextFreeGrammar:
             name = tokens[heads[bisect(heads, at) - 1]][1]
             raise GramlmError(f"line {lines[at]}: {name!r} references undefined {ref!r}")
     return ContextFreeGrammar(productions[0][0], tuple(productions))
+
+
+# ---------------------------------------------------------------------------
+# Reference instantiation: ``compute_instantiations`` as it was when it kept
+# fired and retained candidates as (rule number, values) pairs and sorted
+# each rule's retained tuples by their value codes, kept unchanged so that
+# the candidate-number version can be held to the same tuples in the same
+# order and the same supported vectors.
+
+
+def reference_compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> Instantiations:
+    """Supported-and-demanded atomic tuples per rule.
+
+    Each rule's candidate tuples are enumerated once over its dimensions.
+    A candidate fires when its projection onto every daughter matches a
+    supported vector; firing supports every mother vector the candidate
+    fixes, with the mother's free naming positions ranging over their
+    domains. Support is seeded from the lexicon, and every vector is filed
+    at once in the projection tables of its symbol.
+
+    Firing is counter-driven, as in linear-time Horn-clause closure
+    (Dowling & Gallier 1984): each candidate waits under every daughter
+    projection key it needs, with a count of the keys still missing. The
+    first vector filed under a key decrements the candidates waiting on it,
+    and a candidate fires when its count reaches zero, so no candidate is
+    tested twice. Demand is then one worklist closure from every supported
+    start vector: a fired candidate is retained iff its mother side equals
+    a demanded vector, and retaining it demands every supported vector
+    matching its projection onto a daughter.
+
+    Every key is built by a projector made once per list of positions
+    before the loops (see :func:`_projector`). Each list of positions a
+    rule fixes on a symbol has one set of the keys already expanded, so
+    each mother key and each daughter key is expanded once.
+
+    The cap counts lexicon vectors, candidates and derived vectors.
+    """
+    index = _Index(grammar)
+    budget = cap_tuples
+
+    def spend(amount: int = 1) -> None:
+        nonlocal budget
+        budget -= amount
+        if budget < 0:
+            raise ResourceCapError("instantiation tuples", cap_tuples)
+
+    # Per symbol and per tuple of naming positions some rule fixes on it as
+    # a daughter: the projector of those positions, the supported vectors
+    # keyed by their values there, the candidates waiting for a first vector
+    # under a key, and the keys the demand pass has opened.
+    daughter_entries: dict[str, dict[tuple[int, ...], tuple]] = {sym: {} for sym in index.symbols}
+    # Per symbol and per tuple of naming positions some rule fixes on it as
+    # a mother: the projector of those positions, the fired candidates keyed
+    # by their values there, each as (rule number, values), and the keys the
+    # demand pass has expanded.
+    mother_entries: dict[str, dict[tuple[int, ...], tuple]] = {sym: {} for sym in index.symbols}
+    rule_dims = [index.rule_dims(rule) for rule in grammar.rules]
+    plans: list[tuple] = []
+    rule_daughters: list[list[tuple]] = []
+    # Per candidate: its rule number, its values and its count of missing keys.
+    cand_rules: list[int] = []
+    cand_values: list[Vector] = []
+    missing: list[int] = []
+    for number, (rule, dims) in enumerate(zip(grammar.rules, rule_dims)):
+        (mother_positions, mother_dims), *occurrences = index.slot_positions(rule, dims)
+        daughters = []
+        waits = []
+        for cat, (positions, picks) in zip(rule.daughters, occurrences):
+            entries = daughter_entries[cat.symbol]
+            if positions not in entries:
+                entries[positions] = (_projector(positions), {}, {}, set())
+            _, table, wait, opened = entries[positions]
+            pick = _projector(picks)
+            daughters.append((cat.symbol, pick, table, opened))
+            waits.append((pick, wait))
+        categories = (rule.mother, *rule.daughters)
+        choices = []
+        for dim in dims:
+            slot = dim.slots[0]
+            constraint = categories[slot.occ].constraint_for(slot.feature)
+            choices.append(index.domains[slot.feature] if isinstance(constraint, Var) else constraint.values)
+        free_spans = [
+            index.domains[feature] for feature in index.naming_dims[rule.mother.symbol]
+        ]
+        entries = mother_entries[rule.mother.symbol]
+        if mother_positions not in entries:
+            entries[mother_positions] = (_projector(mother_positions), {}, set())
+        groups = entries[mother_positions][1]
+        plans.append((rule.mother.symbol, mother_positions, _projector(mother_dims), free_spans, groups))
+        rule_daughters.append(daughters)
+        count = prod(len(choice) for choice in choices)
+        spend(count)
+        # Every key is missing: no vector is filed before the lexicon below.
+        first = len(cand_values)
+        cand_values.extend(product(*choices))
+        cand_rules.extend([number] * count)
+        missing.extend([len(daughters)] * count)
+        for pick, wait in waits:
+            for cand, key in enumerate(map(pick, cand_values[first:]), first):
+                wait.setdefault(key, []).append(cand)
+    ready = [cand for cand, count in enumerate(missing) if not count]
+    filings = {
+        sym: [(project, table, wait) for project, table, wait, _ in entries.values()]
+        for sym, entries in daughter_entries.items()
+    }
+    expansions = {sym: list(entries.values()) for sym, entries in mother_entries.items()}
+
+    supported: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
+
+    def support(symbol: str, vec: Vector) -> None:
+        if vec in supported[symbol]:
+            return
+        spend()
+        supported[symbol].add(vec)
+        for project, table, wait in filings[symbol]:
+            key = project(vec)
+            filed = table.get(key)
+            if filed is not None:
+                filed.append(vec)
+                continue
+            table[key] = [vec]
+            for cand in wait.pop(key, ()):
+                missing[cand] -= 1
+                if not missing[cand]:
+                    ready.append(cand)
+
+    for entry in grammar.lexicon:
+        for vec in _lex_vectors(index, entry.category):
+            support(entry.category.symbol, vec)
+
+    # Fire candidates, and group the fired ones by their mother-side values.
+    while ready:
+        cand = ready.pop()
+        number = cand_rules[cand]
+        mother, mother_positions, project, free_spans, groups = plans[number]
+        values = cand_values[cand]
+        key = project(values)
+        if key in groups:
+            groups[key].append((number, values))
+            continue
+        groups[key] = [(number, values)]
+        spans = list(free_spans)
+        for pos, value in zip(mother_positions, key):
+            spans[pos] = (value,)
+        for vec in product(*spans):
+            support(mother, vec)
+
+    if not supported.get(grammar.start):
+        where = f"line {grammar.start_line}: " if grammar.start_line else ""
+        rules = ", ".join(
+            f"{rule.id} on line {rule.line}" if rule.line else rule.id
+            for rule in grammar.rules
+            if rule.mother.symbol == grammar.start
+        )
+        raise CompileError(
+            f"{where}start symbol {grammar.start!r} has no supported instantiations"
+            + (f": none of its rules ({rules}) derives a string" if rules else "")
+        )
+
+    # Demand pass: walk supported vectors top-down from the start symbol.
+    demanded: dict[str, set[Vector]] = {sym: set() for sym in index.symbols}
+    demanded[grammar.start] = set(supported[grammar.start])
+    worklist: list[tuple[str, Vector]] = [(grammar.start, v) for v in demanded[grammar.start]]
+    retained: list[list[Vector]] = [[] for _ in grammar.rules]
+    while worklist:
+        symbol, vec = worklist.pop()
+        for project, groups, done in expansions[symbol]:
+            key = project(vec)
+            if key in done:
+                continue
+            done.add(key)
+            for number, values in groups.get(key, ()):
+                retained[number].append(values)
+                for daughter, pick, table, opened in rule_daughters[number]:
+                    dkey = pick(values)
+                    if dkey in opened:
+                        continue
+                    opened.add(dkey)
+                    seen = demanded[daughter]
+                    for dvec in table[dkey]:
+                        if dvec not in seen:
+                            seen.add(dvec)
+                            worklist.append((daughter, dvec))
+
+    per_rule = {}
+    for rule, dims, tuples in zip(grammar.rules, rule_dims, retained):
+        bits = [index.codes.bits[dim.slots[0].feature] for dim in dims]
+        tuples.sort(key=lambda values: tuple(code[v] for code, v in zip(bits, values)))
+        per_rule[rule.id] = InstantiationSet(rule.id, dims, tuple(tuples))
+    return Instantiations(
+        per_rule,
+        {sym: frozenset(vectors) for sym, vectors in supported.items()},
+        index,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference feature gathering: the per-symbol walk that ``_Index.naming_dims``
+# (rule occurrences only) and the oracle's ``_Analyzer.relevant`` (the lexicon
+# too) each gather in one pass.
+
+
+def constrained_features(grammar: Grammar, symbol: str, include_lexicon: bool = True) -> tuple[str, ...]:
+    """Features constrained on any occurrence of ``symbol``, in declaration order.
+
+    With ``include_lexicon=False`` only rule occurrences count, which is the
+    notion the compiler uses for naming dimensions.
+    """
+    found: set[str] = set()
+    for rule in grammar.rules:
+        for cat in rule.categories():
+            if cat.symbol == symbol:
+                found.update(f for f, _ in cat.constraints)
+    if include_lexicon:
+        for entry in grammar.lexicon:
+            if entry.category.symbol == symbol:
+                found.update(f for f, _ in entry.category.constraints)
+    order = {d.name: i for i, d in enumerate(grammar.features)}
+    return tuple(sorted(found, key=order.__getitem__))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,32 @@
 """Compile pipeline: stripping, instantiation, merging, emission, elimination."""
 
+import dataclasses
+import functools
+import gc
 import inspect
 import itertools
 import re
 import time
 
 import pytest
-from conftest import SHUTTLES, TOYS, compiled, compiled_stages, grammar, leftmost_cycle_free, reference_emit
+from conftest import (
+    SHUTTLES,
+    TOYS,
+    compiled,
+    compiled_stages,
+    constrained_features,
+    grammar,
+    leftmost_cycle_free,
+    reference_compute_instantiations,
+    reference_emit,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pfsg import _cfgs
 
 from gramlm import (
     CompileError,
+    GramlmError,
     analysis,
     ResourceCapError,
     build_pfsg,
@@ -31,10 +45,11 @@ from gramlm import (
     pfsg_enumerate,
     strip_features,
 )
-from gramlm.cfg import Alt, ContextFreeGrammar, Ref, Seq, Term, alt, components, seq
+from gramlm.cfg import Alt, ContextFreeGrammar, Ref, Seq, Star, Term, alt, components, seq
 from gramlm.cli import _build_parser
-from gramlm.compiler import _Index, _projector, rect_name
-from gramlm.errors import CAP_TUPLES
+from gramlm.compiler import DimSpec, InstantiationSet, RuleInstance, SlotRef, _Index, _projector, rect_name
+from gramlm.errors import CAP_TUPLES, record
+from gramlm.pfsg import Transition
 from gramlm.grammar import (
     SYNTACTIC,
     Atom,
@@ -43,8 +58,8 @@ from gramlm.grammar import (
     Grammar,
     LexEntry,
     Rule,
+    Subset,
     Var,
-    constrained_features,
     surface_tokens,
 )
 
@@ -784,3 +799,228 @@ def test_compilation_is_deterministic(name):
     second = compile_grammar(parse_grammar_file(path))
     assert cfg_to_text(first.cfg) == cfg_to_text(second.cfg)
     assert first.stats == second.stats
+
+
+# ---- instantiation by candidate number against the reference ----
+
+
+def assert_instantiation_matches_the_reference(stripped, cap_tuples=CAP_TUPLES):
+    """Equal tuples per rule, in rule order and in the same order within each
+    rule, and equal supported vectors, to what the reference instantiation
+    (tests/conftest.py) finds; or the same error."""
+    try:
+        want = reference_compute_instantiations(stripped, cap_tuples=cap_tuples)
+    except (CompileError, ResourceCapError) as err:
+        with pytest.raises(type(err)) as caught:
+            compute_instantiations(stripped, cap_tuples=cap_tuples)
+        assert str(caught.value) == str(err)
+        return None
+    got = compute_instantiations(stripped, cap_tuples=cap_tuples)
+    assert list(got.per_rule) == list(want.per_rule)
+    for rule_id, inst in got.per_rule.items():
+        assert inst.dims == want.per_rule[rule_id].dims
+        assert inst.tuples == want.per_rule[rule_id].tuples
+    assert got.supported == want.supported
+    return got
+
+
+@pytest.mark.parametrize("name", ALL_ASSETS + sorted(VARIANTS))
+def test_instantiation_matches_the_reference(name):
+    g = VARIANTS[name]() if name in VARIANTS else grammar(name)
+    assert assert_instantiation_matches_the_reference(strip_features(g)) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_feature_grammars())
+def test_instantiation_matches_the_reference_on_random_grammars(text):
+    assert_instantiation_matches_the_reference(strip_features(parse_grammar(text)), cap_tuples=10**4)
+
+
+def test_instantiation_sorts_an_unordered_subset_into_domain_order():
+    # A grammar built without the parser keeps its subsets as written.
+    g = parse_grammar(
+        """
+        feature f syn {a, b, c}
+        start S
+        rule s: S -> A:[f={a, b, c}]
+        lex "x": A
+        """
+    )
+    (rule,) = g.rules
+    backwards = Category("A", (("f", Subset(("c", "b", "a"))),))
+    written = dataclasses.replace(g, rules=(dataclasses.replace(rule, daughters=(backwards,)),))
+    assert compute_instantiations(written).per_rule["s"].tuples == (("a",), ("b",), ("c",))
+    assert_instantiation_matches_the_reference(written)
+
+
+# ---- the compile stages and the cyclic collector ----
+
+_NO_START = """
+feature f syn {a, b}
+start S
+rule s: S -> A:[f=a]
+lex "x": A:[f=b]
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _cfg_texts(name):
+    """A compiled shuttle model as CFG text, made once."""
+    return cfg_to_text(compiled(name).cfg)
+
+
+# Each paused stage, the making of its input from a shuttle model's name
+# (outside the stage, and cached), and calls of the stage that raise.
+PAUSED_STAGES = [
+    pytest.param(
+        compile_grammar,
+        grammar,
+        [
+            (ResourceCapError, lambda: compile_grammar(grammar("shuttle_rels"), cap_tuples=100)),
+            (CompileError, lambda: compile_grammar(parse_grammar(_NO_START))),
+        ],
+        id="compile_grammar",
+    ),
+    pytest.param(
+        build_pfsg,
+        lambda name: compiled(name).cfg,
+        [(CompileError, lambda: build_pfsg(cfg_from_text('s -> ( "b" )* "c" ;')))],
+        id="build_pfsg",
+    ),
+    pytest.param(
+        cfg_from_text,
+        _cfg_texts,
+        [(GramlmError, lambda: cfg_from_text("s -> t ;"))],
+        id="cfg_from_text",
+    ),
+]
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector back as it was, whatever the test left."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("stage,prepare,failures", PAUSED_STAGES)
+def test_collector_is_paused_in_the_compile_stages(stage, prepare, failures, collector):
+    """An enabled collector is off inside the stage, on again afterwards,
+    also after an error, and starts no collection while the stage runs."""
+    assert stage.__wrapped__
+    arg = prepare("shuttle_rels")
+    gc.enable()
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(note)
+    try:
+        stage(arg)
+    finally:
+        gc.callbacks.remove(note)
+    assert starts == []
+    assert gc.isenabled()
+    for error, fail in failures:
+        with pytest.raises(error):
+            fail()
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("stage,prepare,failures", PAUSED_STAGES)
+def test_collector_left_off_stays_off_in_the_compile_stages(stage, prepare, failures, collector):
+    arg = prepare("shuttle_no_rels")
+    gc.disable()
+    stage(arg)
+    assert not gc.isenabled()
+    for error, fail in failures:
+        with pytest.raises(error):
+            fail()
+        assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("name", SHUTTLES)
+@pytest.mark.parametrize("stage,prepare,failures", PAUSED_STAGES)
+def test_collector_finds_no_garbage_after_the_compile_stages(stage, prepare, failures, name, collector):
+    """Collecting right after a stage finds nothing: pausing the collector
+    left no reference cycles for it to free later. The collector stays off
+    until then, so no young collection can free them first."""
+    arg = prepare(name)
+    gc.disable()
+    gc.collect()
+    result = stage(arg)
+    assert gc.collect() == 0
+    assert result is not None
+
+
+# ---- slot-built records ----
+
+
+def _records():
+    """One instance of each slot-built record, and a copy built apart."""
+    dim = DimSpec((SlotRef(0, "agr"), SlotRef(1, "agr")), mergeable=True)
+    return [
+        lambda: Term("x"),
+        lambda: Ref("np"),
+        lambda: Seq((Term("x"), Ref("np"))),
+        lambda: Alt((Term("x"), Ref("np"))),
+        lambda: Star(Ref("np")),
+        lambda: Transition(0, 1, "np", True, 0.5),
+        lambda: SlotRef(0, "agr"),
+        lambda: DimSpec((SlotRef(0, "agr"),), mergeable=False),
+        lambda: RuleInstance("r", (dim,), (("s3", "pl"),), (6,)),
+        lambda: InstantiationSet("r", (dim,), (("s3",), ("pl",))),
+    ]
+
+
+@pytest.mark.parametrize("make", _records(), ids=lambda make: type(make()).__name__)
+def test_record_equality_and_hash_go_by_field(make):
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    fields = dataclasses.fields(first)
+    assert type(first).__slots__ == tuple(f.name for f in fields)
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, f.name, None)
+    changed = dataclasses.replace(first, **{fields[0].name: "other"})
+    assert changed != first and getattr(changed, fields[0].name) == "other"
+    assert dataclasses.replace(first) == first
+    assert repr(first).startswith(f"{type(first).__name__}(")
+
+
+def test_record_masks_are_neither_compared_nor_hashed_nor_printed():
+    dim = DimSpec((SlotRef(0, "agr"),), mergeable=True)
+    first = RuleInstance("r", (dim,), (("s3",),), (1,))
+    second = RuleInstance("r", (dim,), (("s3",),), (2,))
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == (
+        "RuleInstance(rule_id='r', dims=(DimSpec(slots=(SlotRef(occ=0, feature='agr'),), "
+        "mergeable=True),), values=(('s3',),))"
+    )
+    assert RuleInstance("r", (dim,), (("pl",),), (1,)) != first
+
+
+def test_records_of_the_same_fields_differ_by_type():
+    items = (Term("x"), Ref("np"))
+    assert Seq(items) != Alt(items)
+    assert Term("np") != Ref("np")
+    assert len({Seq(items), Alt(items), Seq(items)}) == 2
+    assert repr(Term("x")) == "Term(token='x')"
+    assert repr(Transition(0, 1, "w", False, 0.25)) == "Transition(src=0, dst=1, label='w', is_ref=False, prob=0.25)"
+
+
+def test_a_record_field_with_a_default_is_refused():
+    # The slot-built __init__ takes every field as a required argument.
+    with pytest.raises(TypeError, match="take no default: weight"):
+
+        @record
+        class Weighted:
+            label: str
+            weight: float = 1.0

@@ -7,7 +7,7 @@ import sys
 import weakref
 
 import pytest
-from conftest import SHUTTLES, TOYS, grammar, reference_cfg_from_text
+from conftest import SHUTTLES, TOYS, constrained_features, grammar, reference_cfg_from_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,6 @@ from gramlm.grammar import (
     LexEntry,
     Rule,
     _canonicalize,
-    constrained_features,
 )
 
 ALL_ASSETS = TOYS + SHUTTLES

@@ -9,7 +9,7 @@ import dataclasses
 import itertools
 
 import pytest
-from conftest import SHUTTLES, TOYS, grammar, reference_oracle_parse
+from conftest import SHUTTLES, TOYS, constrained_features, grammar, reference_oracle_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_compiler import _feature_grammars
@@ -17,7 +17,6 @@ from test_pfsg import LONG_SHUTTLE_PARSES, SHUTTLE_PARSES
 
 from gramlm import ResourceCapError, UnknownTokenError, oracle_enumerate, oracle_parse, parse_grammar
 from gramlm import oracle as oracle_module
-from gramlm.grammar import constrained_features
 
 TINY_LANGUAGE = {("the", "dog", "barks"), ("the", "dogs", "bark")}
 
