@@ -28,7 +28,6 @@ from .compiler import (
     emit_cfg,
     expansion_stats,
     merge_all,
-    merge_ranges,
     strip_features,
 )
 from .errors import (

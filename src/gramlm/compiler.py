@@ -15,7 +15,7 @@ The pipeline has four stages:
    are kept as their numbers, which run in product order over each rule's
    domain-ordered values, so sorting a rule's retained numbers puts its
    tuples in domain order.
-3. :func:`merge_ranges` — greedily merge atomic tuples into rule instances
+3. :func:`merge_all` — greedily merge atomic tuples into rule instances
    carrying value *sets* per dimension, preserving an exact disjoint cover
    of the tuple set. A dimension merges only if its slots span at most one
    mother and at most one daughter position; cross-daughter and repeated-
@@ -465,25 +465,6 @@ def compute_instantiations(grammar: Grammar, cap_tuples: int = CAP_TUPLES) -> In
     )
 
 
-def merge_ranges(inst: InstantiationSet, grammar: Grammar) -> tuple[RuleInstance, ...]:
-    """Greedily merge atomic tuples into disjoint rectangles of value sets.
-
-    Instances agreeing everywhere except one mergeable dimension merge by
-    unioning that dimension's sets; the dimensions are taken in turn until
-    a round over them merges nothing. The result partitions the input
-    tuple set exactly: merging never invents a tuple (instances in a merge
-    bucket are identical off-dimension) and never drops one (every tuple
-    starts as a singleton instance). The merged set does not depend on the
-    order instances are visited in, and the result is sorted in the
-    (feature declaration, domain) order of its value sets.
-
-    Each value is coded as its bit (see :class:`_ValueCodes`), so each set
-    is a bit mask. Every instance keeps its masks, for emission, and the
-    values they decode to.
-    """
-    return _merge_ranges(inst, _ValueCodes(grammar.features))
-
-
 def _merge_ranges(inst: InstantiationSet, codes: _ValueCodes) -> tuple[RuleInstance, ...]:
     features = [dim.slots[0].feature for dim in inst.dims]
     bits = [codes.bits[feature] for feature in features]
@@ -510,11 +491,26 @@ def _merge_ranges(inst: InstantiationSet, codes: _ValueCodes) -> tuple[RuleInsta
     )
 
 
-def merge_all(grammar: Grammar, inst: Instantiations) -> dict[str, tuple[RuleInstance, ...]]:
-    """merge_ranges applied to every rule, keyed by rule id in rule order,
-    with the value codes of ``inst``'s grammar shared by every rule."""
+def merge_all(inst: Instantiations) -> dict[str, tuple[RuleInstance, ...]]:
+    """Greedily merge each rule's atomic tuples into disjoint rectangles of
+    value sets.
+
+    Instances agreeing everywhere except one mergeable dimension merge by
+    unioning that dimension's sets; the dimensions are taken in turn until
+    a round over them merges nothing. The result partitions the input
+    tuple set exactly: merging never invents a tuple (instances in a merge
+    bucket are identical off-dimension) and never drops one (every tuple
+    starts as a singleton instance). The merged set does not depend on the
+    order instances are visited in, and the result is sorted in the
+    (feature declaration, domain) order of its value sets.
+
+    Each value is coded as its bit (see :class:`_ValueCodes`), so each set
+    is a bit mask. Every instance keeps its masks, for emission, and the
+    values they decode to. The value codes of ``inst``'s grammar are
+    shared by every rule, and the result is keyed by rule id in rule order.
+    """
     codes = inst.index.codes
-    return {rule.id: _merge_ranges(inst.per_rule[rule.id], codes) for rule in grammar.rules}
+    return {rule.id: _merge_ranges(inst.per_rule[rule.id], codes) for rule in inst.index.grammar.rules}
 
 
 def rect_name(symbol: str, dims: Sequence[str], spans: Sequence[Sequence[str]]) -> str:
@@ -525,11 +521,7 @@ def rect_name(symbol: str, dims: Sequence[str], spans: Sequence[Sequence[str]]) 
     return "".join(parts)
 
 
-def emit_cfg(
-    grammar: Grammar,
-    inst: Instantiations,
-    merged: Mapping[str, Sequence[RuleInstance]],
-) -> ContextFreeGrammar:
+def emit_cfg(inst: Instantiations, merged: Mapping[str, Sequence[RuleInstance]]) -> ContextFreeGrammar:
     """Emit the context-free grammar over demanded rectangle nonterminals
     from ``merged``, the merged instances of ``inst`` (see :func:`merge_all`).
 
@@ -613,7 +605,7 @@ def emit_cfg(
             spans[pos] = restricted[d_idx]
         return discover(symbol, tuple(spans))
 
-    discover(grammar.start, projections[grammar.start])
+    discover(index.grammar.start, projections[index.grammar.start])
     productions: list[tuple[str, Expr]] = []
     cursor = 0
     while cursor < len(queue):
@@ -690,8 +682,12 @@ def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = CAP_TUPLES) -> 
 
     Not supported, and raised as :class:`CompileError`: a cycle member
     whose body nests a group inside an alternative, a cyclic unit
-    production, a member that is only left-recursive, and recursion
-    through a repetition (``A -> (A a)* b``), which survives elimination.
+    production (a left-recursive alternative whose tail derives the empty
+    string, as in ``A -> A (a)*``), a member that is only left-recursive,
+    and recursion through a repetition (``A -> (A a)* b``), which survives
+    elimination. So where no symbol of the input derives the empty string,
+    as none that :func:`emit_cfg` writes does, no symbol of the result
+    does: each yields at least one token, as the graph backend requires.
 
     Substitution can multiply alternatives exponentially (Moore 2000), so
     every alternative it produces is charged to ``cap``; beyond it
@@ -745,7 +741,7 @@ def eliminate_left_recursion(cfg: ContextFreeGrammar, cap: int = CAP_TUPLES) -> 
                 rewritten[name] = alt([seq(option) for option in options])
                 flat[name] = options
                 continue
-            if not all(recursive):
+            if any(_leftmost_refs(seq(tail))[1] for tail in recursive):
                 raise CompileError(f"cyclic unit production at {name!r}")
             if not others:
                 raise CompileError(f"production {name!r} is only left-recursive; its language is empty")
@@ -827,6 +823,6 @@ def compile_grammar(
     """
     stripped = strip_features(grammar, features)
     inst = compute_instantiations(stripped, cap_tuples=cap_tuples)
-    merged = merge_all(stripped, inst)
-    cfg = eliminate_left_recursion(emit_cfg(stripped, inst, merged), cap=cap_tuples)
+    merged = merge_all(inst)
+    cfg = eliminate_left_recursion(emit_cfg(inst, merged), cap=cap_tuples)
     return CompileResult(stripped, cfg, expansion_stats(inst, merged))

@@ -148,7 +148,6 @@ _TOKEN_RE = re.compile(
 
 _LOWER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _UPPER_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
-_SURFACE_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int]]:
@@ -228,18 +227,22 @@ class _LineParser:
             self.take("punct", "]")
         return Category(symbol, tuple(constraints))
 
+    def value_list(self) -> tuple[str, ...]:
+        """A braced, comma-separated list of domain values."""
+        self.take("punct", "{")
+        values = [self.word("a domain value", _LOWER_RE)]
+        while self.peek() is not None and self.peek()[1] == ",":
+            self.take("punct", ",")
+            values.append(self.word("a domain value", _LOWER_RE))
+        self.take("punct", "}")
+        return tuple(values)
+
     def constraint_value(self) -> Constraint:
         tok = self.peek()
         if tok is None:
             raise self.error("expected a constraint value")
         if tok[1] == "{":
-            self.take("punct", "{")
-            values = [self.word("a domain value", _LOWER_RE)]
-            while self.peek() is not None and self.peek()[1] == ",":
-                self.take("punct", ",")
-                values.append(self.word("a domain value", _LOWER_RE))
-            self.take("punct", "}")
-            return Subset(tuple(values))
+            return Subset(self.value_list())
         if tok[0] == "word" and _UPPER_RE.match(tok[1]):
             self.index += 1
             return Var(tok[1])
@@ -269,13 +272,8 @@ def parse_grammar(text: str) -> Grammar:
                 raise DslSyntaxError(
                     f"feature kind must be 'syn' or 'sem', got {kind!r}", line_no, 1
                 )
-            parser.take("punct", "{")
-            values = [parser.word("a domain value", _LOWER_RE)]
-            while parser.peek() is not None and parser.peek()[1] == ",":
-                parser.take("punct", ",")
-                values.append(parser.word("a domain value", _LOWER_RE))
-            parser.take("punct", "}")
-            features.append(FeatureDecl(name, kind, tuple(values), line=line_no))
+            values = parser.value_list()
+            features.append(FeatureDecl(name, kind, values, line=line_no))
             if len(set(values)) != len(values):
                 diagnostics.append(
                     Diagnostic(line_no, "dup-value", f"feature {name!r} repeats a domain value")
@@ -306,7 +304,7 @@ def parse_grammar(text: str) -> Grammar:
             if not surface:
                 diagnostics.append(Diagnostic(line_no, "empty-surface", "empty surface form"))
             for token in surface:
-                if not _SURFACE_TOKEN_RE.match(token):
+                if not _LOWER_RE.match(token):
                     diagnostics.append(
                         Diagnostic(
                             line_no,

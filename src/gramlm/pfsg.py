@@ -10,6 +10,10 @@ the node the starred group follows; when the star trails the whole
 production that node is the end node, whose residual 0.5 is the implicit
 stop (the end node is exempt from the sum-to-one invariant).
 
+So no symbol of a model derives the empty string: each yields at least one
+token. A production, or a repetition body, that admits the empty string has
+no graph, and the plain grammar below refuses both with :class:`CompileError`.
+
 Evaluation runs on the plain grammar, a star-free rewrite in which a star
 is a 0.5 skip / 0.5 enter choice over a fresh one-or-more production. Those
 are the graph's loop masses, so the graph and the grammar assign every
@@ -388,6 +392,8 @@ def _expand(expr: Expr, fresh: dict[str, list], prefix: str) -> list[tuple[tuple
     fresh[name] = []  # claim the name before recursing into the body
     rules: list[tuple[tuple[Symbol, ...], float]] = []
     for symbols, weight in _expand(expr.body, fresh, prefix):
+        if not symbols:
+            raise CompileError(f"production {prefix!r} repeats a body that admits the empty string")
         rules.append((symbols, weight * (1 - LOOP_MASS)))
         rules.append((symbols + ((_REF, name),), weight * LOOP_MASS))
     fresh[name] = rules
@@ -535,6 +541,8 @@ class _Earley:
     The plain grammar, the left-corner tables and the unit ranks are built
     up front, so that any error the grammar has is raised before a token is
     read; the tables read only each alternative's first symbol and length.
+    The plain grammar has no empty alternative, so every production yields
+    at least one token and every rule has a first symbol.
     Unit ranks order the productions by the components of their unit
     alternatives (:func:`~gramlm.cfg.components`); a unit cycle is an error.
     A production's positions are built the first time a column predicts it,
@@ -562,8 +570,6 @@ class _Earley:
         for name, alternatives in grammar.productions.items():
             units[name] = []
             for symbols, _ in alternatives:
-                if not symbols:
-                    continue  # only a star over an empty-admitting body makes one
                 kind, value = symbols[0]
                 corner = self.starts_with if kind == _TERM else self.left_parents
                 corner.setdefault(value, set()).add(name)
@@ -745,15 +751,16 @@ def cfg_enumerate(
 ) -> set[tuple[str, ...]]:
     """All strings of length <= max_len in the grammar's language.
 
-    Evaluation by length. For n = 0, 1, ..., max_len each production's
+    Evaluation by length. For n = 1, 2, ..., max_len each production's
     strings of length n are built once, from the strings of its
-    alternatives' symbols whose lengths sum to n. A concatenation in which
-    every reference yields fewer than n tokens reads only lengths already
-    complete. A reference yields all n only in a unit alternative: one
-    reference whose siblings are all nullable, as a repetition of a
-    nullable body writes. Those are settled by a worklist within the
-    length: each string a production gains at length n passes through its
-    unit alternatives once, so unit cycles end.
+    alternatives' symbols whose lengths sum to n. The plain grammar has no
+    empty alternative (a production or a repetition body that admits the
+    empty string raises :class:`CompileError`), so every symbol yields at
+    least one token: an alternative of two or more symbols reads only
+    lengths already complete. An alternative of one reference reads strings
+    of the length it builds; those unit alternatives are settled by a
+    worklist within the length: each string a production gains at length n
+    passes through its unit alternatives once, so unit cycles end.
 
     Each production has a length budget: ``max_len`` less the least yield
     of any context it has in a derivation from the start symbol. Only its
@@ -787,14 +794,12 @@ def cfg_enumerate(
     longest: dict[Symbol, int] = {}
     # The alternatives that fit their mother's budget. words[n][mother]
     # holds the strings of those of n terminals, until length n takes the
-    # sets over. Those with references are listed as (mother, symbols,
-    # least yield of each suffix, budget), less the single references,
-    # which never concatenate shorter strings.
-    # units[ref] lists the alternatives in which ``ref`` may yield all n, as
-    # (mother, budget, siblings).
+    # sets over. Those of two or more symbols are listed as (mother,
+    # symbols, least yield of each suffix, budget); units[ref] lists those
+    # of the one reference ``ref`` as (mother, budget).
     words: dict[int, dict[Symbol, set[tuple[str, ...]]]] = {}
     alternatives: list[tuple[Symbol, tuple[Symbol, ...], list[int], int]] = []
-    units: dict[Symbol, list[tuple[Symbol, int, tuple[Symbol, ...]]]] = {}
+    units: dict[Symbol, list[tuple[Symbol, int]]] = {}
     for mother, alts in options.items():
         limit = budget.get(mother, -1)
         for symbols, tail_min in alts:
@@ -804,14 +809,14 @@ def cfg_enumerate(
                 string = tuple(word for _, word in symbols)
                 words.setdefault(len(string), {}).setdefault(mother, set()).add(string)
                 continue
-            for idx, symbol in enumerate(symbols):
+            if len(symbols) == 1:
+                units.setdefault(symbols[0], []).append((mother, limit))
+                continue
+            for symbol in symbols:
                 if symbol[0] == _TERM:
                     lang[symbol] = {1: {(symbol[1],)}}
                     longest[symbol] = 1
-                elif tail_min[0] == min_yield[symbol[1]]:
-                    units.setdefault(symbol, []).append((mother, limit, symbols[:idx] + symbols[idx + 1 :]))
-            if len(symbols) > 1:
-                alternatives.append((mother, symbols, tail_min, limit))
+            alternatives.append((mother, symbols, tail_min, limit))
 
     stored = 0
     # Strings gained at the current length by symbols with unit alternatives.
@@ -847,21 +852,18 @@ def cfg_enumerate(
                 elif queued is not bucket:
                     queued |= new
 
-    for n in range(max_len + 1):
+    for n in range(1, max_len + 1):
         for mother, strings in words.pop(n, {}).items():
             keep(mother, n, strings, True)
         for mother, symbols, tail_min, limit in alternatives:
             if not tail_min[0] <= n <= limit or sum(longest.get(symbol, 0) for symbol in symbols) < n:
                 continue
-            # partial[length]: strings of the symbols so far, in which no
-            # reference takes all n.
+            # partial[length]: strings of the symbols so far.
             partial: dict[int, set[tuple[str, ...]]] = {0: {()}}
             for idx, symbol in enumerate(symbols[:-1]):
                 room = n - tail_min[idx + 1]
                 grown: dict[int, set[tuple[str, ...]]] = {}
                 for got_len, got in lang.get(symbol, {}).items():
-                    if got_len == n and symbol[0] == _REF:
-                        continue
                     for length, prefixes in partial.items():
                         total = length + got_len
                         if total > room:
@@ -871,19 +873,18 @@ def cfg_enumerate(
                         else:
                             grown.setdefault(total, set()).update(p + s for p in prefixes for s in got)
                 partial = grown
-            last = symbols[-1]
-            held = lang.get(last, {})
+            held = lang.get(symbols[-1], {})
             strings: set[tuple[str, ...]] = set()
             for length, prefixes in partial.items():
                 got = held.get(n - length)
-                if got and (length or last[0] == _TERM):
+                if got:
                     strings.update(p + s for p in prefixes for s in got)
             if strings:
                 keep(mother, n, strings, True)
         while pending:
             symbol, got = pending.popitem()
-            for mother, limit, siblings in units[symbol]:
-                if n <= limit and all(0 in lang.get(sibling, ()) for sibling in siblings):
+            for mother, limit in units[symbol]:
+                if n <= limit:
                     keep(mother, n, got)
 
     # Free the other symbols' strings, then merge into the largest bucket.

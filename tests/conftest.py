@@ -74,8 +74,8 @@ def compiled_stages(name: str):
     elimination."""
     stripped = compiled(name).grammar
     inst = compute_instantiations(stripped)
-    merged = merge_all(stripped, inst)
-    return inst, merged, emit_cfg(stripped, inst, merged)
+    merged = merge_all(inst)
+    return inst, merged, emit_cfg(inst, merged)
 
 
 @functools.lru_cache(maxsize=None)

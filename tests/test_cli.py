@@ -253,6 +253,34 @@ def test_unsupported_start_symbol_is_a_usage_error(tmp_path):
     ) in r.stderr
 
 
+# B -> B D writes the repetition ( d )* on b, and substituting b into
+# A -> B leaves A -> A ( d )*, whose tail derives the empty string.
+EMPTY_TAIL_GRAMMAR = """start S
+rule r0: S -> B
+rule r1: B -> A
+rule r2: B -> B D
+rule r3: A -> B
+rule r4: A -> X
+lex "x": X
+lex "d": D
+"""
+
+
+def test_left_recursion_through_an_empty_tail_is_refused(tmp_path):
+    """Elimination would write a -> x ( ( d )* )*, a repetition whose body
+    admits the empty string, which has no graph."""
+    path = tmp_path / "empty_tail.gram"
+    path.write_text(EMPTY_TAIL_GRAMMAR, encoding="utf-8")
+    for args in (
+        ("compile", path, "--out", tmp_path / "out"),
+        ("check", path, "--max-len", "4"),
+        ("parse", path, "x d"),
+    ):
+        r = run(*args)
+        assert r.returncode == 1, args
+        assert "cyclic unit production at 'a'" in r.stderr, args
+
+
 @pytest.mark.parametrize(
     "line",
     [

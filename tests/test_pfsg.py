@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -196,14 +197,10 @@ def test_sums_of_far_apart_exponents_stay_exact(n):
 
 
 def test_unit_cycle_is_a_compile_error():
-    """At the first call, even when the tokens reach no production. A
-    repetition over a nullable body, the only source of an empty
-    alternative, always comes with the unit self-loop ``name@i -> name@i``,
-    so no rule's positions are ever built from an empty alternative."""
+    """At the first call, even when the tokens reach no production."""
     for text, cycle in [
         ('a -> b | "x" ; b -> a ;', "a -> b -> a"),
         ('s -> a ; a -> b | "x" ; b -> c ; c -> a | "y" ;', "a -> c -> b -> a"),
-        ('s -> "a" ( ( "b" )* )* ;', "s@0 -> s@0"),
     ]:
         for tokens in (["x"], ["zzz"]):
             with pytest.raises(CompileError) as caught:
@@ -664,20 +661,24 @@ def test_enumeration_stores_only_what_fits_the_least_context():
         oracle_enumerate(g, 6, cap=9)
 
 
-# The outer repetition's body is itself nullable, so in the plain grammar
-# the outer star production has the empty alternative and unit
-# alternatives through the inner one: strings of a length are read at that
-# same length, and the empty string is derived at length 0.
+# The outer repetition's body is itself nullable: in the plain grammar its
+# star production would have an empty alternative, and a unit self-loop
+# ``s@0 -> s@0`` through the inner one.
 NULLABLE_STAR_CFG = cfg_from_text('s -> "a" ( ( "b" )* )* ;')
 
 
-def test_enumeration_through_a_nullable_repetition():
-    """s stores a, ab and abb; the outer star production (), b and bb
-    within its budget of 2; the inner one b and bb."""
-    assert cfg_enumerate(NULLABLE_STAR_CFG, 3) == {("a",), ("a", "b"), ("a", "b", "b")}
-    assert cfg_enumerate(NULLABLE_STAR_CFG, 3, cap=8)
-    with pytest.raises(ResourceCapError):
-        cfg_enumerate(NULLABLE_STAR_CFG, 3, cap=7)
+def test_enumeration_and_parse_refuse_a_repetition_of_a_nullable_body():
+    """By both evaluators, before any string is built or token read. Besides
+    a production that admits the empty string, which is refused on its own,
+    it is the only shape that would give the plain grammar an empty
+    alternative. So no rule's positions are ever built from one, and every
+    symbol yields at least one token."""
+    message = "production 's' repeats a body that admits the empty string"
+    with pytest.raises(CompileError, match=re.escape(message)):
+        cfg_enumerate(NULLABLE_STAR_CFG, 3)
+    for tokens in (["a"], ["zzz"]):
+        with pytest.raises(CompileError, match=re.escape(message)):
+            cfg_parse(NULLABLE_STAR_CFG, tokens)
 
 
 def test_library_string_caps_match_the_command_line():
